@@ -2,8 +2,8 @@
 
 Every command is a pure function of its input files and flags: no clock, no
 network, deterministic output bytes.  Exit codes: 0 success, 2 validation
-error, 3 numerical error.  Sweep commands honour NOTCHLAB_THREADS for
-row-parallel evaluation with ordered output.
+error, 3 numerical error.  Each sweep command evaluates its whole
+frequency grid in one vectorized call per quantity.
 """
 
 from __future__ import annotations
@@ -12,32 +12,16 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 
 import numpy as np
 
 from . import equiv, metrics, mtl, mux, purcell, specfit
-from .device import Device, device_to_dict, load_device
+from .device import device_to_dict, load_device
 from .errors import NumericalError, ValidationError
 from .io import write_csv, write_json
 
 _MHZ = 1e6
-
-
-def _threads() -> int:
-    raw = os.environ.get("NOTCHLAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValidationError(f"NOTCHLAB_THREADS must be an integer, got {raw!r}")
-
-
-def _map_rows(fn, items):
-    n = _threads()
-    if n == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _grid(args) -> np.ndarray:
@@ -48,35 +32,28 @@ def _grid(args) -> np.ndarray:
     return np.linspace(args.fmin, args.fmax, args.points)
 
 
-def _load(args) -> Device:
-    if not args.device:
-        raise ValidationError("--device is required")
-    return load_device(args.device)
-
-
 # ------------------------------------------------------------------ commands
 
 def _cmd_notch(args) -> int:
-    dev = _load(args)
+    dev = args.dev
     f_n = mtl.notch_frequency(dev.pair(args.pair))
     print(f"{f_n / 1e9:.3f} GHz")
     return 0
 
 
 def _cmd_z21(args) -> int:
-    dev = _load(args)
+    dev = args.dev
     geom = dev.pair(args.pair)
     grid = _grid(args)
     guard = args.tol if args.tol else mtl.DEFAULT_POLE_GUARD_HZ
-    vals = _map_rows(
-        lambda f: mtl.z21_auto(geom, float(f), pole_guard_hz=guard).imag, grid)
-    rows = [(float(f), v) for f, v in zip(grid, vals)]
-    write_csv(args.out, ["freq_hz", "im_z21_ohm"], rows)
+    z21 = mtl.z21_auto(geom, grid, pole_guard_hz=guard)
+    write_csv(args.out, ["freq_hz", "im_z21_ohm"],
+              zip(grid.tolist(), z21.imag.tolist()))
     return 0
 
 
 def _cmd_design(args) -> int:
-    dev = _load(args)
+    dev = args.dev
     names = [args.pair] if args.pair else sorted(dev.geometry)
     rows = []
     for name in names:
@@ -100,7 +77,7 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_modes(args) -> int:
-    dev = _load(args)
+    dev = args.dev
     net = dev.mux_network()
     modes = mux.normal_modes(net, args.state)
     payload = [{"channel": m.channel, "character": m.character,
@@ -113,13 +90,13 @@ def _cmd_modes(args) -> int:
 
 
 def _cmd_reflect(args) -> int:
-    dev = _load(args)
+    dev = args.dev
     net = dev.mux_network()
     grid = _grid(args)
     gam = mux.gamma_incident(net, args.state, grid)
-    rows = [(float(f), g.real, g.imag, float(np.angle(g)))
-            for f, g in zip(grid, gam)]
-    write_csv(args.out, ["freq_hz", "re_gamma", "im_gamma", "phase_rad"], rows)
+    write_csv(args.out, ["freq_hz", "re_gamma", "im_gamma", "phase_rad"],
+              zip(grid.tolist(), gam.real.tolist(), gam.imag.tolist(),
+                  np.angle(gam).tolist()))
     return 0
 
 
@@ -176,7 +153,7 @@ def _trace_header(net: mux.MuxNetwork) -> list[str]:
 
 
 def _cmd_simulate(args) -> int:
-    dev = _load(args)
+    dev = args.dev
     net = dev.mux_network()
     pulse = _parse_pulse(args.pulse)
     tr = mux.propagate(net, args.state, pulse, args.dt_ns * 1e-9)
@@ -185,7 +162,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_separation(args) -> int:
-    dev = _load(args)
+    dev = args.dev
     net = dev.mux_network()
     pulse = _parse_pulse(args.pulse)
     res = mux.separation(net, args.pair, pulse, args.dt_ns * 1e-9)
@@ -198,7 +175,7 @@ def _cmd_separation(args) -> int:
 
 
 def _cmd_purcell(args) -> int:
-    dev = _load(args)
+    dev = args.dev
     geom = dev.pair(args.pair)
     if not geom.is_mtl:
         raise ValidationError("purcell sweep expects an MTL pair")
@@ -221,21 +198,16 @@ def _cmd_purcell(args) -> int:
     f_n = mtl.notch_frequency(geom)
     f_bar = 0.5 * (geom.f_r + geom.f_p)
     grid = _grid(args)
-
-    def row(f):
-        f = float(f)
-        coup = purcell.QubitCoupling(c_q=c_q, c_qr=c_qr, c_ext=c_ext,
-                                     z0_line=dev.z0_line, f_q=f)
-        t_mtl = purcell.t1_purcell(pair, coup, shunt=shunt)
-        t_cap = purcell.t1_purcell(twin, coup, shunt=shunt)
-        import warnings as _w
-        with _w.catch_warnings():
-            _w.simplefilter("ignore")
-            xi = purcell.enhancement_factor(f, f_n, f_bar)
-        return (f, t_mtl.t1_s, t_cap.t1_s, xi)
-
+    coup = purcell.QubitCoupling(c_q=c_q, c_qr=c_qr, c_ext=c_ext,
+                                 z0_line=dev.z0_line, f_q=f_q_ref)
+    t_mtl = purcell.t1_purcell(pair, coup, f_q=grid, shunt=shunt)
+    t_cap = purcell.t1_purcell(twin, coup, f_q=grid, shunt=shunt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        xi = purcell.enhancement_factor(grid, f_n, f_bar)
     write_csv(args.out, ["freq_hz", "t1_mtl_s", "t1_cap_s", "xi"],
-              _map_rows(row, grid))
+              zip(grid.tolist(), t_mtl.t1_s.tolist(), t_cap.t1_s.tolist(),
+                  xi.tolist()))
     return 0
 
 
@@ -251,7 +223,7 @@ def _read_spectrum(path, state: str) -> specfit.PhaseSpectrum:
 
 
 def _cmd_fit(args) -> int:
-    dev = _load(args)
+    dev = args.dev
     spec_g = _read_spectrum(args.spec_g, "g")
     spec_e = _read_spectrum(args.spec_e, "e") if args.spec_e else None
     tol = args.tol if args.tol else 1e-12
@@ -364,7 +336,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_device(args) -> int:
     # canonical re-emission; also serves as validation
-    dev = _load(args)
+    dev = args.dev
     if args.out:
         write_json(args.out, device_to_dict(dev))
     else:
@@ -482,9 +454,11 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if getattr(args, "state", "unset") is None:
-            dev = load_device(args.device)
-            args.state = "g" * len(dev.channels)
+        if hasattr(args, "device"):
+            # loaded once here; commands read it as args.dev
+            args.dev = load_device(args.device)
+            if getattr(args, "state", "unset") is None:
+                args.state = "g" * len(args.dev.channels)
         return args.fn(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

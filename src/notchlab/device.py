@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib.resources
 import json
+import math
 from dataclasses import dataclass, field
 
 import jsonschema
@@ -126,6 +127,10 @@ DEVICE_SCHEMA = {
     },
 }
 
+# Checking DEVICE_SCHEMA against the meta-schema costs more than validating
+# a device file, so it is done once, in the tests, not on every load.
+_VALIDATOR = jsonschema.Draft202012Validator(DEVICE_SCHEMA)
+
 
 @dataclass(frozen=True)
 class Device:
@@ -169,12 +174,10 @@ def _coupler_from_json(obj) -> MtlCouplerParams | float:
 
 def device_from_dict(raw: dict) -> Device:
     """Validate a parsed device JSON object and convert to SI."""
-    try:
-        jsonschema.validate(raw, DEVICE_SCHEMA)
-    except jsonschema.ValidationError as exc:
+    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
+    if exc is not None:
         path = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise ValidationError(f"device file invalid at {path}: {exc.message}") \
-            from exc
+        raise ValidationError(f"device file invalid at {path}: {exc.message}")
     line = LineParams(z0=raw["line"]["z0_ohm"], v=raw["line"]["v_m_per_s"])
     z0_line = raw["line"].get("z0_line_ohm", 50.0)
     shunt = ShuntLC(c_shunt=raw["shunt"]["c_f"], l_shunt=raw["shunt"]["l_h"])
@@ -217,10 +220,20 @@ def device_from_dict(raw: dict) -> Device:
                   channels=channels, qubits=qubits)
 
 
+def _finite_number(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValidationError(f"device file holds the non-finite number {text}")
+    return x
+
+
 def load_device(path) -> Device:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            # NaN, Infinity and overflowing literals are rejected here: the
+            # schema's numeric bounds let NaN through
+            raw = json.load(fh, parse_float=_finite_number,
+                            parse_constant=_finite_number)
     except OSError as exc:
         raise ValidationError(f"cannot read device file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

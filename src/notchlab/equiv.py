@@ -246,9 +246,10 @@ def two_port_z(pair: LumpedPair, f):
     y11 = y_r + y_c
     y22 = y_p + y_c
     det = y11 * y22 - y_c * y_c
-    if np.any(np.abs(det) < 1e-12 * np.abs(y11 * y22) + 1e-300):
-        raise PoleError("hybridized", float(np.atleast_1d(f)[0]),
-                        float(np.atleast_1d(f)[0]))
+    hybridized = np.abs(det) < 1e-12 * np.abs(y11 * y22) + 1e-300
+    if np.any(hybridized):
+        f_bad = float(np.atleast_1d(f)[np.argmax(np.atleast_1d(hybridized))])
+        raise PoleError("hybridized", f_bad, f_bad)
     return y22 / det, y11 / det, y_c / det
 
 

@@ -13,12 +13,8 @@ from .errors import ValidationError
 
 
 def format_float(x) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.9g}"
+    # "%.9g" spells nan, inf, -inf and -0 the way the files expect
+    return "%.9g" % x
 
 
 def _format_cell(x) -> str:
@@ -32,7 +28,12 @@ def _format_cell(x) -> str:
 
 
 def write_csv(path, header: list[str], rows) -> None:
-    """Write rows of numbers/strings under an exact header."""
+    """Write rows of numbers/strings under an exact header.
+
+    Rows of floats only, the shape every sweep writes, go through one
+    format template; rows holding str, bool or int are formatted per cell.
+    """
+    template = ",".join(["%.9g"] * len(header)) + "\n"
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(",".join(header) + "\n")
@@ -40,7 +41,10 @@ def write_csv(path, header: list[str], rows) -> None:
                 if len(row) != len(header):
                     raise ValidationError(
                         f"row width {len(row)} != header width {len(header)}")
-                fh.write(",".join(_format_cell(x) for x in row) + "\n")
+                if any(isinstance(x, (str, int)) for x in row):
+                    fh.write(",".join(_format_cell(x) for x in row) + "\n")
+                else:
+                    fh.write(template % tuple(row))
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
@@ -83,14 +87,3 @@ def write_json(path, obj) -> None:
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
 
-
-def emit(data, fmt: str, path, header: list[str] | None = None) -> None:
-    """Emit a table (csv) or an object tree (json) to path."""
-    if fmt == "csv":
-        if header is None:
-            raise ValidationError("csv emission needs a header")
-        write_csv(path, header, data)
-    elif fmt == "json":
-        write_json(path, data)
-    else:
-        raise ValidationError(f"unknown format {fmt!r}")

@@ -18,7 +18,7 @@ from scipy.optimize import brentq
 
 from .equiv import LumpedPair, equivalent_pair, map_resonator, two_port_z
 from .errors import ValidationError
-from .mtl import CoupledPairGeometry, z21_auto
+from .mtl import CoupledPairGeometry, _freq_array, z21_auto
 
 TWO_PI = 2.0 * math.pi
 
@@ -70,50 +70,58 @@ class ShuntLC:
         return complex(out[0]) if scalar else out
 
 
-def _line_mods(f: float, z0_line: float, shunt: ShuntLC | None):
-    """Z_ext addend and effective line resistance including the shunt."""
+def _line_mods(f: np.ndarray, z0_line: float, shunt: ShuntLC | None):
+    """Z_ext addend and effective line resistance including the shunt.
+
+    Points where the shunt impedance diverges leave the line unmodified.
+    """
     if shunt is None:
-        return 0.0 + 0.0j, z0_line
+        return 0.0, z0_line
     z_sh = shunt.impedance(f)
-    if not np.isfinite(z_sh):
-        return 0.0 + 0.0j, z0_line
-    z_ext_add = z_sh / (1.0 + abs(z_sh / z0_line) ** 2)
-    z0_eff = z0_line / (1.0 + abs(z0_line / z_sh) ** 2)
+    finite = np.isfinite(z_sh)
+    z_sh = np.where(finite, z_sh, 1.0)
+    z_ext_add = np.where(finite, z_sh / (1.0 + np.abs(z_sh / z0_line) ** 2), 0.0)
+    z0_eff = np.where(finite, z0_line / (1.0 + np.abs(z0_line / z_sh) ** 2),
+                      z0_line)
     return z_ext_add, z0_eff
 
 
-def re_input_admittance(z11: complex, z22: complex, z21: complex,
-                        coupling: QubitCoupling, f: float,
-                        shunt: ShuntLC | None = None) -> float:
+def re_input_admittance(z11, z22, z21, coupling: QubitCoupling, f,
+                        shunt: ShuntLC | None = None):
     """Re Y_in seen by the qubit through the two-port at frequency f (S).
 
     Re Y_in = Z0 |Z21|^2 / |(Z11 + Z_qr)(Z22 + Z_ext + Z0)|^2, valid when
     |Z21| << |Z11|, |Z22| (warned otherwise).  A shunt, when present, adds
     Z_shunt/(1 + |Z_shunt/Z0|^2) to Z_ext and divides Z0 by
-    (1 + |Z0/Z_shunt|^2).
+    (1 + |Z0/Z_shunt|^2).  f may be an array, with Z11, Z22, Z21 given on
+    the same grid; a scalar f returns a float.
     """
-    if not f > 0:
+    f, scalar = _freq_array(f)
+    if not np.all(f > 0):
         raise ValidationError("frequency must be > 0")
-    small = min(abs(z11), abs(z22))
-    if small > 0 and abs(z21) > 0.1 * small:
+    small = np.minimum(np.abs(z11), np.abs(z22))
+    abs_z21 = np.abs(z21)
+    strong = (small > 0) & (abs_z21 > 0.1 * small)
+    if np.any(strong):
         warnings.warn(
-            f"|Z21| = {abs(z21):.3g} is not small against |Z11|, |Z22|; the "
-            "input-admittance formula degrades", stacklevel=2)
+            f"|Z21| = {np.max(abs_z21 * strong):.3g} is not small against "
+            "|Z11|, |Z22|; the input-admittance formula degrades", stacklevel=2)
     w = TWO_PI * f
     z_qr = -1j / (w * coupling.c_qr)
     z_ext = -1j / (w * coupling.c_ext)
     z_ext_add, z0_eff = _line_mods(f, coupling.z0_line, shunt)
     z_ext = z_ext + z_ext_add
-    denom = abs((z11 + z_qr) * (z22 + z_ext + z0_eff)) ** 2
-    return z0_eff * abs(z21) ** 2 / denom
+    denom = np.abs((z11 + z_qr) * (z22 + z_ext + z0_eff)) ** 2
+    out = z0_eff * abs_z21 ** 2 / denom
+    return float(out[0]) if scalar else out
 
 
 @dataclass(frozen=True)
 class T1Result:
     """Purcell-limited relaxation time; notch_limited marks Re Y_in = 0."""
 
-    t1_s: float
-    notch_limited: bool = False
+    t1_s: float | np.ndarray
+    notch_limited: bool | np.ndarray = False
 
 
 # predictions beyond this are numerically indistinguishable from a perfect
@@ -121,7 +129,7 @@ class T1Result:
 T1_NOTCH_CUTOFF_S = 1e12
 
 
-def _two_port_at(network, f: float):
+def _two_port_at(network, f: np.ndarray):
     if isinstance(network, LumpedPair):
         return two_port_z(network, f)
     if isinstance(network, CoupledPairGeometry):
@@ -139,38 +147,48 @@ def _two_port_at(network, f: float):
         "LumpedPair or CoupledPairGeometry")
 
 
-def t1_purcell(network, coupling: QubitCoupling, f_q: float | None = None,
+def t1_purcell(network, coupling: QubitCoupling, f_q=None,
                shunt: ShuntLC | None = None) -> T1Result:
     """Purcell-limited relaxation time at the qubit frequency.
 
     network is a LumpedPair (nodal two-port) or a CoupledPairGeometry
-    (distributed Z21 with lumped Z11/Z22).  A vanishing Re Y_in, as at the
-    notch, yields an infinite, notch-limited result.
+    (distributed Z21 with lumped Z11/Z22).  f_q, when given, replaces
+    coupling.f_q and may be a frequency grid, evaluated in one pass.  A
+    vanishing Re Y_in, as at the notch, yields an infinite, notch-limited
+    result at that point.
     """
-    fq = coupling.f_q if f_q is None else f_q
-    z11, z22, z21 = _two_port_at(network, fq)
-    re_y = re_input_admittance(z11, z22, z21, coupling, fq, shunt)
-    if re_y == 0.0 or coupling.c_q / re_y > T1_NOTCH_CUTOFF_S:
-        return T1Result(t1_s=math.inf, notch_limited=True)
-    return T1Result(t1_s=coupling.c_q / re_y, notch_limited=False)
+    f, scalar = _freq_array(coupling.f_q if f_q is None else f_q)
+    z11, z22, z21 = _two_port_at(network, f)
+    re_y = re_input_admittance(z11, z22, z21, coupling, f, shunt)
+    with np.errstate(divide="ignore"):
+        t1 = coupling.c_q / re_y
+    limited = t1 > T1_NOTCH_CUTOFF_S
+    t1 = np.where(limited, np.inf, t1)
+    if scalar:
+        return T1Result(t1_s=float(t1[0]), notch_limited=bool(limited[0]))
+    return T1Result(t1_s=t1, notch_limited=limited)
 
 
-def enhancement_factor(f_q: float, f_n: float, f_rp_bar: float) -> float:
+def enhancement_factor(f_q, f_n: float, f_rp_bar: float):
     """Purcell-filtering enhancement of the notch over a plain capacitor.
 
     xi = (1/4) (w_q^2 / Delta_qn^2) (1 - w_n^2/w_bar^2)^2, diverging as the
-    qubit approaches the notch; infinite at exact coincidence.
+    qubit approaches the notch; infinite at exact coincidence.  f_q may be
+    an array; a scalar f_q returns a float.
     """
-    for name, val in (("f_q", f_q), ("f_n", f_n), ("f_rp_bar", f_rp_bar)):
-        if not val > 0:
+    fq, scalar = _freq_array(f_q)
+    for name, val in (("f_q", fq), ("f_n", f_n), ("f_rp_bar", f_rp_bar)):
+        if not np.all(val > 0):
             raise ValidationError(f"{name} must be > 0")
-    if abs(f_q - f_n) > 0.2 * f_n:
+    if np.any(np.abs(fq - f_n) > 0.2 * f_n):
         warnings.warn("qubit-notch detuning exceeds 20% of f_n; the "
                       "enhancement expansion degrades", stacklevel=2)
-    if f_q == f_n:
-        return math.inf
     bracket = 1.0 - (f_n / f_rp_bar) ** 2
-    return 0.25 * (f_q / (f_q - f_n)) ** 2 * bracket ** 2
+    at_notch = fq == f_n
+    detuning = np.where(at_notch, 1.0, fq - f_n)
+    xi = np.where(at_notch, np.inf,
+                  0.25 * (fq / detuning) ** 2 * bracket ** 2)
+    return float(xi[0]) if scalar else xi
 
 
 def enhancement_bandwidth(xi_target: float, f_n: float, f_rp_bar: float) -> float:

@@ -1,13 +1,16 @@
 import json
 import math
 
+import jsonschema
 import numpy as np
 import pytest
 
+import notchlab.cli
 from notchlab import ValidationError
 from notchlab.cli import run
-from notchlab.device import (device_from_dict, device_to_dict, load_device,
-                             load_paper_device, paper_device_path)
+from notchlab.device import (DEVICE_SCHEMA, device_from_dict, device_to_dict,
+                             load_device, load_paper_device,
+                             paper_device_path)
 from notchlab.io import format_float, write_csv, write_json
 
 
@@ -20,6 +23,9 @@ def device_path(tmp_path):
 
 
 class TestDeviceFile:
+    def test_schema_is_valid_draft_2020_12(self):
+        jsonschema.Draft202012Validator.check_schema(DEVICE_SCHEMA)
+
     def test_paper_device_loads(self):
         dev = load_paper_device()
         assert dev.line.z0 == 66.0
@@ -61,6 +67,14 @@ class TestEmission:
         assert format_float(0.066759) == "0.066759"
         assert format_float(float("inf")) == "inf"
         assert format_float(float("nan")) == "nan"
+
+    def test_mixed_and_float_rows(self, tmp_path):
+        path = tmp_path / "mixed.csv"
+        write_csv(path, ["a", "b", "c"],
+                  [("Q1", True, 3), (1.5, float("nan"), -0.0),
+                   [np.float64(math.pi), float("-inf"), 2e300]])
+        assert path.read_text() == ("a,b,c\nQ1,true,3\n1.5,nan,-0\n"
+                                    "3.14159265,-inf,2e+300\n")
 
     def test_header_only_csv(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -226,13 +240,45 @@ class TestCliCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["n_photons"] == 1.0
 
-    def test_repeat_invocations_byte_identical(self, device_path, tmp_path,
-                                               monkeypatch):
+    @pytest.mark.parametrize("command,key,value", [
+        ("reflect", "f_r_g_mhz", "NaN"),
+        ("modes", "chi_mhz", "NaN"),
+        ("modes", "f_r_g_mhz", "Infinity"),
+        ("reflect", "kappa_p_mhz", "1e999"),
+    ])
+    def test_non_finite_device_number_rejected(self, tmp_path, capsys,
+                                               command, key, value):
+        raw = json.loads(paper_device_path().read_text())
+        raw["channels"][0][key] = "@"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw).replace('"@"', value))
+        out = tmp_path / "out"
+        argv = [command, "--device", str(bad), "--out", str(out)]
+        if command == "reflect":
+            argv += ["--fmin", "10.0e9", "--fmax", "10.9e9", "--points", "11"]
+        assert run(argv) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_default_state_loads_device_once(self, device_path, tmp_path,
+                                             monkeypatch):
+        paths = []
+
+        def counting_load(path):
+            paths.append(path)
+            return load_device(path)
+
+        monkeypatch.setattr(notchlab.cli, "load_device", counting_load)
+        assert run(["reflect", "--device", str(device_path), "--fmin",
+                    "10.0e9", "--fmax", "10.9e9", "--points", "11",
+                    "--out", str(tmp_path / "r.csv")]) == 0
+        assert paths == [str(device_path)]
+
+    def test_repeat_invocations_byte_identical(self, device_path, tmp_path):
         args = ["z21", "--device", str(device_path), "--pair", "Q1",
                 "--fmin", "8.0e9", "--fmax", "9.0e9", "--points", "64"]
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
         assert run(args + ["--out", str(out1)]) == 0
-        monkeypatch.setenv("NOTCHLAB_THREADS", "4")
         assert run(args + ["--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 

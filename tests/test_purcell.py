@@ -8,11 +8,11 @@ from abcd_oracle import qubit_drive_voltage
 from notchlab import (CoupledPairGeometry, EquivCap, LumpedPair,
                       MtlCouplerParams, QubitCoupling, ShuntLC,
                       ValidationError, c_ext_from_kappa, c_qr_from_g,
-                      constrained_pair, enhancement_bandwidth,
-                      enhancement_factor, equivalent_pair,
-                      map_resonator, mtl_vs_cap_t1_ratio, notch_frequency,
-                      notch_from_xi, re_input_admittance, t1_purcell,
-                      two_port_z)
+                      capacitive_twin, constrained_pair,
+                      enhancement_bandwidth, enhancement_factor,
+                      equivalent_pair, j_mtl, map_resonator,
+                      mtl_vs_cap_t1_ratio, notch_frequency, notch_from_xi,
+                      re_input_admittance, t1_purcell, two_port_z)
 from test_mtl import LINE
 
 TWO_PI = 2 * math.pi
@@ -136,6 +136,66 @@ class TestT1Purcell:
         deltas = ds / (1 - ds) * f_q
         slope = np.polyfit(np.log(deltas), np.log(t1), 1)[0]
         assert slope == pytest.approx(4.0, abs=0.2)
+
+
+class TestArrayPath:
+    """One call on a frequency grid against per-point scalar calls."""
+
+    @pytest.fixture(scope="class")
+    def grid(self, mtl_geom):
+        # crosses the notch and the shunt screening frequency exactly
+        f = np.linspace(7.5e9, 11.0e9, 351)
+        return np.sort(np.r_[f, notch_frequency(mtl_geom),
+                             PAPER_SHUNT.f_screen])
+
+    @pytest.mark.parametrize("twin", [False, True], ids=["mtl", "cap_twin"])
+    @pytest.mark.parametrize("shunt", [None, PAPER_SHUNT],
+                             ids=["no_shunt", "shunt"])
+    def test_t1_grid_matches_scalar_calls(self, mtl_geom, grid, twin, shunt):
+        pair = equivalent_pair(mtl_geom)
+        if twin:
+            pair = capacitive_twin(pair, j_mtl(mtl_geom, exact=True))
+        coup = default_coupling(mtl_geom, 8.0e9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            res = t1_purcell(pair, coup, f_q=grid, shunt=shunt)
+            ref = [t1_purcell(pair, coup, f_q=float(f), shunt=shunt)
+                   for f in grid]
+        assert res.t1_s.shape == res.notch_limited.shape == grid.shape
+        assert not np.isnan(res.t1_s).any()
+        assert res.notch_limited.tolist() == [r.notch_limited for r in ref]
+        t_ref = np.array([r.t1_s for r in ref])
+        assert np.array_equal(np.isinf(res.t1_s), np.isinf(t_ref))
+        fin = np.isfinite(t_ref)
+        np.testing.assert_allclose(res.t1_s[fin], t_ref[fin], rtol=1e-15,
+                                   atol=0)
+        # the MTL pair is notch-limited at the notch; its twin nowhere
+        assert res.notch_limited.any() != twin
+
+    def test_enhancement_grid_matches_scalar_calls(self, grid):
+        f_n, f_bar = 8.2e9, 10.4e9
+        f = np.sort(np.r_[grid, f_n])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            xi = enhancement_factor(f, f_n, f_bar)
+            ref = np.array([enhancement_factor(float(x), f_n, f_bar)
+                            for x in f])
+        assert np.array_equal(np.isinf(xi), f == f_n)
+        assert np.array_equal(np.isinf(ref), f == f_n)
+        fin = f != f_n
+        np.testing.assert_allclose(xi[fin], ref[fin], rtol=1e-15, atol=0)
+
+    def test_grid_checks_every_point(self, mtl_geom):
+        coup = default_coupling(mtl_geom, 8.0e9)
+        with pytest.raises(ValidationError):
+            t1_purcell(equivalent_pair(mtl_geom), coup,
+                       f_q=np.array([8.0e9, 0.0]))
+        with pytest.raises(ValidationError):
+            enhancement_factor(np.array([8.0e9, -1.0]), 8.2e9, 10.4e9)
+        with pytest.warns(UserWarning):
+            re_input_admittance(np.array([500j, 10j]), np.array([400j, 10j]),
+                                np.array([1j, 9j]), coup,
+                                np.array([8.0e9, 8.1e9]))
 
 
 class TestEnhancementFactor:
