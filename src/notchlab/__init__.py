@@ -13,8 +13,8 @@ from .errors import (BracketError, CompositionPoleError, DegenerateNotchError,
                      NotchlabError, NumericalError, PassivityError, PoleError,
                      SingularSystemError, UnboundedCouplerError,
                      ValidationError)
-from .metrics import (DriveCal, ErrorBudget, FidelityResult, ReadoutCounts,
-                      ShotAnalysis, ShotStats, StarkPoint, coherence_limits,
+from .metrics import (ErrorBudget, FidelityResult, ReadoutCounts,
+                      ShotAnalysis, ShotStats, coherence_limits,
                       error_budget, fidelities, incident_from_resonator,
                       matched_filter_weights, photons_from_stark,
                       rabi_to_omega, separation_error, shot_analysis,
@@ -32,8 +32,8 @@ from .mux import (DrivePulse, FieldTraces, MuxNetwork, NormalMode,
 from .purcell import (QubitCoupling, ShuntLC, T1Result, c_ext_from_kappa,
                       c_qr_from_g, capacitive_twin, constrained_pair,
                       enhancement_bandwidth, enhancement_factor,
-                      mtl_vs_cap_t1_ratio, notch_from_xi, re_input_admittance,
-                      t1_purcell)
+                      mtl_pair_and_twin, mtl_vs_cap_t1_ratio, notch_from_xi,
+                      re_input_admittance, t1_purcell)
 from .specfit import (FitConfig, FitResult, PhaseSpectrum, fit_reflection,
                       model_phase, synth_spectrum, wrap_phase)
 

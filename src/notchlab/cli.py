@@ -3,7 +3,9 @@
 Every command is a pure function of its input files and flags: no clock, no
 network, deterministic output bytes.  Exit codes: 0 success, 2 validation
 error, 3 numerical error.  Each sweep command evaluates its whole
-frequency grid in one vectorized call per quantity.
+frequency grid in one vectorized call per quantity.  Commands whose --out
+is optional print to stdout exactly the bytes they would write to the file;
+every flag a subcommand accepts is read by it.
 """
 
 from __future__ import annotations
@@ -65,14 +67,8 @@ def _cmd_design(args) -> int:
             f_n = float("nan")
             j = equiv.j_capacitive(g, g.c_j)
         rows.append((name, g.f_r, g.f_p, f_n, j))
-    header = ["pair", "f_r_hz", "f_p_hz", "f_notch_hz", "j_hz"]
-    if args.out:
-        write_csv(args.out, header, rows)
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(c) if isinstance(c, str) else f"{c:.9g}"
-                           for c in row))
+    write_csv(args.out, ["pair", "f_r_hz", "f_p_hz", "f_notch_hz", "j_hz"],
+              rows)
     return 0
 
 
@@ -82,10 +78,7 @@ def _cmd_modes(args) -> int:
     modes = mux.normal_modes(net, args.state)
     payload = [{"channel": m.channel, "character": m.character,
                 "f_hz": m.f_hz, "kappa_hz": m.kappa_hz} for m in modes]
-    if args.out:
-        write_json(args.out, payload)
-    else:
-        print(json.dumps(payload, indent=2))
+    write_json(args.out, payload)
     return 0
 
 
@@ -184,11 +177,10 @@ def _cmd_purcell(args) -> int:
         if c.name == args.pair:
             ch = c
     qi = dev.qubits.get(args.pair)
-    pair = equiv.equivalent_pair(geom)
-    j_hz = equiv.j_mtl(geom, exact=True)
-    twin = purcell.capacitive_twin(pair, j_hz)
+    pair, twin = purcell.mtl_pair_and_twin(geom)
+    f_bar = 0.5 * (geom.f_r + geom.f_p)
     c_q = (qi.c_q if qi and qi.c_q else None) or args.c_q_ff * 1e-15
-    f_q_ref = qi.f_q if qi else 0.5 * (geom.f_r + geom.f_p)
+    f_q_ref = qi.f_q if qi else f_bar
     g_ref = qi.g if qi else 100e6
     kappa_ref = ch.kappa_p if ch else 50e6
     c_qr = purcell.c_qr_from_g(g_ref, f_q_ref, geom.f_r, c_q, pair.readout.c)
@@ -196,7 +188,6 @@ def _cmd_purcell(args) -> int:
                                      dev.z0_line)
     shunt = None if args.no_shunt else dev.shunt
     f_n = mtl.notch_frequency(geom)
-    f_bar = 0.5 * (geom.f_r + geom.f_p)
     grid = _grid(args)
     coup = purcell.QubitCoupling(c_q=c_q, c_qr=c_qr, c_ext=c_ext,
                                  z0_line=dev.z0_line, f_q=f_q_ref)
@@ -228,17 +219,11 @@ def _cmd_fit(args) -> int:
     spec_e = _read_spectrum(args.spec_e, "e") if args.spec_e else None
     tol = args.tol if args.tol else 1e-12
     cfg = specfit.FitConfig(initial=dev.mux_network(), theta0=args.theta0,
-                            tau=args.tau_ns * 1e-9, seed=args.seed,
-                            xtol=tol, ftol=tol, gtol=tol)
+                            tau=args.tau_ns * 1e-9, xtol=tol, ftol=tol,
+                            gtol=tol)
     result = specfit.fit_reflection(spec_g, spec_e, cfg)
-    stderr = {}
-    for key, val in result.stderr.items():
-        if val is None:
-            stderr[key] = None
-        elif isinstance(val, float):
-            stderr[key] = val
-        else:
-            stderr[key] = [float(v) for v in val]
+    stderr = {key: val.tolist() if isinstance(val, np.ndarray) else val
+              for key, val in result.stderr.items()}
     payload = {
         "channels": [{
             "name": c.name,
@@ -255,10 +240,7 @@ def _cmd_fit(args) -> int:
         "chi_reported": result.chi_reported,
         "stderr": stderr,
     }
-    if args.out:
-        write_json(args.out, payload)
-    else:
-        print(json.dumps(payload, indent=2, default=float))
+    write_json(args.out, payload)
     return 0
 
 
@@ -295,10 +277,7 @@ def _cmd_budget(args) -> int:
         "f": budget.f,
         "f_q": budget.f_q,
     }
-    if args.out:
-        write_json(args.out, payload)
-    else:
-        print(json.dumps(payload, indent=2))
+    write_json(args.out, payload)
     return 0
 
 
@@ -327,20 +306,13 @@ def _cmd_calibrate(args) -> int:
     if not payload:
         raise ValidationError(
             "calibrate needs --stark, --delta-ac-hz or --p-w inputs")
-    if args.out:
-        write_json(args.out, payload)
-    else:
-        print(json.dumps(payload, indent=2))
+    write_json(args.out, payload)
     return 0
 
 
 def _cmd_device(args) -> int:
     # canonical re-emission; also serves as validation
-    dev = args.dev
-    if args.out:
-        write_json(args.out, device_to_dict(dev))
-    else:
-        print(json.dumps(device_to_dict(dev), indent=2))
+    write_json(args.out, device_to_dict(args.dev))
     return 0
 
 
@@ -351,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "fitting and error budgets.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, pair=False, state=False, sweep=False, out_required=False):
+    def common(p, pair=False, state=False, sweep=False, out="optional"):
         p.add_argument("--device", required=True, help="device JSON file")
         if pair:
             p.add_argument("--pair", required=True, help="geometry/channel name")
@@ -362,17 +334,17 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--fmin", type=float, required=True)
             p.add_argument("--fmax", type=float, required=True)
             p.add_argument("--points", type=int, default=1001)
-        p.add_argument("--out", required=out_required, default=None)
-        p.add_argument("--format", choices=("csv", "json"), default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=None)
+        if out:
+            p.add_argument("--out", required=out == "required", default=None)
 
     p = sub.add_parser("notch", help="notch frequency of a pair")
-    common(p, pair=True)
+    common(p, pair=True, out=None)
     p.set_defaults(fn=_cmd_notch)
 
     p = sub.add_parser("z21", help="transfer-impedance sweep")
-    common(p, pair=True, sweep=True, out_required=True)
+    common(p, pair=True, sweep=True, out="required")
+    p.add_argument("--tol", type=float, default=None,
+                   help="pole guard band in Hz (default 1e3)")
     p.set_defaults(fn=_cmd_z21)
 
     p = sub.add_parser("design", help="per-pair design quantities")
@@ -385,11 +357,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_modes)
 
     p = sub.add_parser("reflect", help="reflection-coefficient sweep")
-    common(p, state=True, sweep=True, out_required=True)
+    common(p, state=True, sweep=True, out="required")
     p.set_defaults(fn=_cmd_reflect)
 
     p = sub.add_parser("simulate", help="time-domain field traces")
-    common(p, state=True, out_required=True)
+    common(p, state=True, out="required")
     p.add_argument("--pulse", required=True, help="pulse JSON (inline or file)")
     p.add_argument("--dt-ns", type=float, default=0.5)
     p.set_defaults(fn=_cmd_simulate)
@@ -401,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_separation)
 
     p = sub.add_parser("purcell", help="Purcell-limited T1 sweep")
-    common(p, pair=True, sweep=True, out_required=True)
+    common(p, pair=True, sweep=True, out="required")
     p.add_argument("--c-q-ff", type=float, default=90.0,
                    help="qubit capacitance in fF when not in the device file")
     p.add_argument("--no-shunt", action="store_true")
@@ -413,6 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec-e", default=None, help="all-e spectrum CSV")
     p.add_argument("--theta0", type=float, default=0.0)
     p.add_argument("--tau-ns", type=float, default=0.0)
+    p.add_argument("--tol", type=float, default=None,
+                   help="optimizer xtol/ftol/gtol (default 1e-12)")
     p.set_defaults(fn=_cmd_fit)
 
     p = sub.add_parser("budget", help="readout error budget")
@@ -424,7 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau-buffer-ns", type=float, default=116.0)
     p.add_argument("--t1-us", type=float, required=True)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_budget)
 
     p = sub.add_parser("calibrate", help="ac-Stark power calibration chain")
@@ -436,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--transition", choices=("ge", "ef"), default="ge")
     p.add_argument("--f-d-hz", type=float, default=None)
     p.add_argument("--out", default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_calibrate)
 
     p = sub.add_parser("device", help="validate and canonically re-emit a device")

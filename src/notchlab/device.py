@@ -153,7 +153,7 @@ class Device:
         if not self.channels:
             raise ValidationError("device defines no readout channels")
         return MuxNetwork(channels=self.channels, shunt=self.shunt,
-                          z0_line=self.z0_line, qubits=self.qubits)
+                          z0_line=self.z0_line)
 
     def qubit(self, name: str) -> QubitInfo:
         if name not in self.qubits:
@@ -172,12 +172,44 @@ def _coupler_from_json(obj) -> MtlCouplerParams | float:
     return float(obj["c_j_f"])
 
 
+def _non_finite(obj, path=()):
+    """Path to the first number in obj that is not a finite float, or None."""
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        try:
+            return None if math.isfinite(obj) else path
+        except OverflowError:  # an integer beyond the float range
+            return path
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return None
+    for key, val in items:
+        found = _non_finite(val, path + (key,))
+        if found is not None:
+            return found
+    return None
+
+
+def _json_path(path) -> str:
+    return "/".join(str(p) for p in path) or "(root)"
+
+
 def device_from_dict(raw: dict) -> Device:
-    """Validate a parsed device JSON object and convert to SI."""
+    """Validate a parsed device JSON object and convert to SI.
+
+    NaN, infinities and integers beyond the float range are rejected first:
+    the schema's numeric bounds let them through.
+    """
+    bad = _non_finite(raw)
+    if bad is not None:
+        raise ValidationError(f"device file invalid at {_json_path(bad)}: "
+                              "non-finite number")
     exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
     if exc is not None:
-        path = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise ValidationError(f"device file invalid at {path}: {exc.message}")
+        raise ValidationError(f"device file invalid at "
+                              f"{_json_path(exc.absolute_path)}: {exc.message}")
     line = LineParams(z0=raw["line"]["z0_ohm"], v=raw["line"]["v_m_per_s"])
     z0_line = raw["line"].get("z0_line_ohm", 50.0)
     shunt = ShuntLC(c_shunt=raw["shunt"]["c_f"], l_shunt=raw["shunt"]["l_h"])
@@ -220,20 +252,12 @@ def device_from_dict(raw: dict) -> Device:
                   channels=channels, qubits=qubits)
 
 
-def _finite_number(text: str) -> float:
-    x = float(text)
-    if not math.isfinite(x):
-        raise ValidationError(f"device file holds the non-finite number {text}")
-    return x
-
-
 def load_device(path) -> Device:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            # NaN, Infinity and overflowing literals are rejected here: the
-            # schema's numeric bounds let NaN through
-            raw = json.load(fh, parse_float=_finite_number,
-                            parse_constant=_finite_number)
+            # NaN, Infinity and overflowing literals parse to numbers that
+            # device_from_dict rejects
+            raw = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read device file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

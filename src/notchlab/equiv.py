@@ -16,13 +16,18 @@ import numpy as np
 
 from .errors import (DegenerateNotchError, PoleError, UnboundedCouplerError,
                      ValidationError)
-from .mtl import CoupledPairGeometry, LineParams, notch_frequency
-
-TWO_PI = 2.0 * math.pi
+from .mtl import (TWO_PI, CoupledPairGeometry, LineParams, _freq_array,
+                  _scalar_or_array, notch_frequency)
 
 # Degeneracy guard for Eq.-style J evaluation: |f_n - f_bar| below this
 # relative threshold is treated as the (physically suppressed) singular case.
 _DEGENERATE_REL = 1e-9
+
+
+def _lc_admittance(f, c: float, l: float):
+    """Admittance i (w c - 1/(w l)) of a parallel LC at frequency f (Hz)."""
+    w = TWO_PI * np.asarray(f, dtype=float)
+    return 1j * (w * c - 1.0 / (w * l))
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,9 @@ class LumpedResonator:
     @property
     def z(self) -> float:
         return math.sqrt(self.l / self.c)
+
+    def admittance(self, f):
+        return _lc_admittance(f, self.c, self.l)
 
 
 @dataclass(frozen=True)
@@ -79,8 +87,7 @@ class NotchLC:
         return math.sqrt(self.l_n / self.c_n)
 
     def admittance(self, f):
-        w = TWO_PI * np.asarray(f, dtype=float)
-        return 1j * (w * self.c_n - 1.0 / (w * self.l_n))
+        return _lc_admittance(f, self.c_n, self.l_n)
 
 
 CouplerBranch = EquivCap | NotchLC
@@ -229,31 +236,21 @@ def equivalent_pair(geom: CoupledPairGeometry) -> LumpedPair:
     return LumpedPair(readout=readout, filter=filt, coupler=coupler)
 
 
-def _node_admittances(pair: LumpedPair, f):
-    w = TWO_PI * np.asarray(f, dtype=float)
-    y_r = 1j * (w * pair.readout.c - 1.0 / (w * pair.readout.l))
-    y_p = 1j * (w * pair.filter.c - 1.0 / (w * pair.filter.l))
-    y_c = pair.coupler.admittance(f)
-    return y_r, y_p, y_c
-
-
 def two_port_z(pair: LumpedPair, f):
     """(Z11, Z22, Z21) of the lumped pair by nodal analysis."""
-    f = np.asarray(f, dtype=float)
-    if np.any(f <= 0):
-        raise ValidationError("frequency must be > 0")
-    y_r, y_p, y_c = _node_admittances(pair, f)
-    y11 = y_r + y_c
-    y22 = y_p + y_c
+    f, scalar = _freq_array(f)
+    y_c = pair.coupler.admittance(f)
+    y11 = pair.readout.admittance(f) + y_c
+    y22 = pair.filter.admittance(f) + y_c
     det = y11 * y22 - y_c * y_c
     hybridized = np.abs(det) < 1e-12 * np.abs(y11 * y22) + 1e-300
     if np.any(hybridized):
-        f_bad = float(np.atleast_1d(f)[np.argmax(np.atleast_1d(hybridized))])
+        f_bad = float(f[np.argmax(hybridized)])
         raise PoleError("hybridized", f_bad, f_bad)
-    return y22 / det, y11 / det, y_c / det
+    zs = (y22 / det, y11 / det, y_c / det)
+    return tuple(_scalar_or_array(z, scalar) for z in zs)
 
 
 def z21_lumped(pair: LumpedPair, f) -> complex:
     """Transfer impedance of the lumped pair (ohm)."""
-    _, _, z21 = two_port_z(pair, f)
-    return complex(z21) if np.ndim(z21) == 0 else z21
+    return two_port_z(pair, f)[2]

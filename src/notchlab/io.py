@@ -2,14 +2,28 @@
 
 All files are UTF-8 with LF line endings; floats are printed with 9
 significant digits so repeated runs and canonicalization round trips are
-byte-identical.
+byte-identical.  A path of None writes the same bytes to stdout.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 
 from .errors import ValidationError
+
+
+@contextlib.contextmanager
+def _sink(path):
+    if path is None:
+        yield sys.stdout
+        return
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc}") from exc
 
 
 def format_float(x) -> str:
@@ -34,19 +48,16 @@ def write_csv(path, header: list[str], rows) -> None:
     format template; rows holding str, bool or int are formatted per cell.
     """
     template = ",".join(["%.9g"] * len(header)) + "\n"
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                if len(row) != len(header):
-                    raise ValidationError(
-                        f"row width {len(row)} != header width {len(header)}")
-                if any(isinstance(x, (str, int)) for x in row):
-                    fh.write(",".join(_format_cell(x) for x in row) + "\n")
-                else:
-                    fh.write(template % tuple(row))
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
+    with _sink(path) as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"row width {len(row)} != header width {len(header)}")
+            if any(isinstance(x, (str, int)) for x in row):
+                fh.write(",".join(_format_cell(x) for x in row) + "\n")
+            else:
+                fh.write(template % tuple(row))
 
 
 def _json_dumps(obj, indent: int = 0) -> str:
@@ -81,9 +92,6 @@ def _json_dumps(obj, indent: int = 0) -> str:
 
 def write_json(path, obj) -> None:
     """Write a JSON document with canonical float formatting."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(_json_dumps(obj) + "\n")
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc}") from exc
+    with _sink(path) as fh:
+        fh.write(_json_dumps(obj) + "\n")
 

@@ -18,35 +18,11 @@ from scipy.constants import hbar
 from scipy.special import erf
 
 from .errors import ValidationError
+from .mtl import TWO_PI
 from .mux import MuxNetwork, gamma_filter, gamma_incident
-
-TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------- calibration
-
-@dataclass(frozen=True)
-class StarkPoint:
-    """One Stark-shift measurement: generator power (arb. linear units),
-    measured shift (Hz), drive frequency (Hz)."""
-
-    power: float
-    stark_shift_hz: float
-    f_d_hz: float
-
-
-@dataclass(frozen=True)
-class DriveCal:
-    """Calibrated drive: incident power (W) and amplitude (Hz) at f_d."""
-
-    p_w: float
-    omega_hz: float
-    f_d_hz: float
-
-    def __post_init__(self):
-        if self.p_w < 0:
-            raise ValidationError("power must be >= 0")
-
 
 def photons_from_stark(delta_ac: float, chi: float) -> float:
     """Steady-state readout photon number from the ac Stark shift.

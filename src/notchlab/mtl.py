@@ -19,6 +19,7 @@ import numpy as np
 from .errors import BracketError, PoleError, ValidationError
 
 C_LIGHT = 299_792_458.0
+TWO_PI = 2.0 * math.pi
 
 # Evaluations closer than this (Hz) to a cosine zero of the denominator raise
 # PoleError instead of returning huge values, so root finders cannot mistake
@@ -185,20 +186,28 @@ def _nearest_pole(f, f_mode: float) -> np.ndarray:
     return np.abs(f - (2.0 * k + 1.0) * f_mode)
 
 
-def _freq_array(f) -> tuple[np.ndarray, bool]:
+def _freq_array(f, name: str = "frequency") -> tuple[np.ndarray, bool]:
+    """f as a 1-d float array, and whether it was a scalar.
+
+    Every point must be finite and > 0; NaN fails the test too.
+    """
     arr = np.atleast_1d(np.asarray(f, dtype=float))
+    if not np.all((arr > 0) & (arr < np.inf)):
+        raise ValidationError(f"{name} must be > 0 and finite")
     return arr, np.ndim(f) == 0
 
 
-def _guard_poles(f, f_r: float, f_p: float, guard: float) -> None:
-    f = np.asarray(f, dtype=float)
-    if np.any(f <= 0):
-        raise ValidationError("frequency must be > 0")
+def _scalar_or_array(out: np.ndarray, scalar: bool, kind=complex):
+    """Undo _freq_array on a result: a scalar input gets a Python kind back."""
+    return kind(out[0]) if scalar else out
+
+
+def _guard_poles(f: np.ndarray, f_r: float, f_p: float, guard: float) -> None:
     for name, fm in (("readout", f_r), ("filter", f_p)):
         d = _nearest_pole(f, fm)
         if np.any(d < guard):
             i = int(np.argmin(d))
-            fi = float(np.atleast_1d(f)[i] if f.ndim else f)
+            fi = float(f[i])
             k = max(round((fi / fm - 1.0) / 2.0), 0)
             raise PoleError(name, (2 * k + 1) * fm, fi)
 
@@ -214,9 +223,9 @@ def z21_general(geom: CoupledPairGeometry, f,
         raise ValidationError("z21_general requires an MTL coupler")
     line, cpl = geom.line, geom.coupler
     f_r, f_p = geom.f_r, geom.f_p
-    _guard_poles(f, f_r, f_p, pole_guard_hz)
     f, scalar = _freq_array(f)
-    w = 2.0 * math.pi * f
+    _guard_poles(f, f_r, f_p, pole_guard_hz)
+    w = TWO_PI * f
     v = line.v
     x = w * cpl.len_c / v
     sinc = np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x))
@@ -227,32 +236,22 @@ def z21_general(geom: CoupledPairGeometry, f,
     c_m = cpl.cm_over_c * line.c_per_len
     num = 1j * line.z0 ** 2 * w * cpl.len_c * c_m * (a_plus - a_minus)
     den = 2.0 * np.cos(0.5 * w / (2.0 * f_r)) * np.cos(0.5 * w / (2.0 * f_p))
-    out = num / den
-    return complex(out[0]) if scalar else out
+    return _scalar_or_array(num / den, scalar)
 
 
 def z21_homogeneous(geom: CoupledPairGeometry, f,
                     pole_guard_hz: float = DEFAULT_POLE_GUARD_HZ) -> complex:
     """Transfer impedance for a homogeneous medium (Z_m = Z_0), in ohm.
 
-    Equivalent to z21_general with zm_over_z0 = 1 but written in the compact
-    form that makes the notch explicit through cos(pi w / 2 w_n).
+    z21_general at zm_over_z0 = 1, where it takes the compact form
+    i Z0 (c_m/c) sin(w l_c/v) cos(pi f/2f_n) / (cos(pi f/2f_r) cos(pi f/2f_p))
+    that makes the notch explicit.
     """
     if not geom.is_mtl:
         raise ValidationError("z21_homogeneous requires an MTL coupler")
     if geom.coupler.zm_over_z0 != 1.0:
         raise ValidationError("z21_homogeneous requires zm_over_z0 = 1")
-    line = geom.line
-    f_r, f_p = geom.f_r, geom.f_p
-    f_n = notch_frequency(geom)
-    _guard_poles(f, f_r, f_p, pole_guard_hz)
-    f, scalar = _freq_array(f)
-    w = 2.0 * math.pi * f
-    num = (1j * line.z0 * np.sin(w * geom.len_c / line.v)
-           * np.cos(0.5 * w / (2.0 * f_n)) * geom.coupler.cm_over_c)
-    den = np.cos(0.5 * w / (2.0 * f_p)) * np.cos(0.5 * w / (2.0 * f_r))
-    out = num / den
-    return complex(out[0]) if scalar else out
+    return z21_general(geom, f, pole_guard_hz)
 
 
 def z21_capacitive(geom: CoupledPairGeometry, f,
@@ -267,14 +266,13 @@ def z21_capacitive(geom: CoupledPairGeometry, f,
         raise ValidationError("z21_capacitive requires a capacitive coupler")
     line = geom.line
     f_r, f_p = geom.f_r, geom.f_p
-    _guard_poles(f, f_r, f_p, pole_guard_hz)
     f, scalar = _freq_array(f)
-    w = 2.0 * math.pi * f
+    _guard_poles(f, f_r, f_p, pole_guard_hz)
+    w = TWO_PI * f
     num = (-1j * line.z0 ** 2 * np.sin(w * geom.l_r_short / line.v)
            * np.sin(w * geom.l_p_short / line.v) * w * geom.c_j)
     den = np.cos(0.5 * w / (2.0 * f_r)) * np.cos(0.5 * w / (2.0 * f_p))
-    out = num / den
-    return complex(out[0]) if scalar else out
+    return _scalar_or_array(num / den, scalar)
 
 
 def z21_auto(geom: CoupledPairGeometry, f,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -27,9 +27,8 @@ from scipy.linalg import expm
 
 from .errors import (CompositionPoleError, PassivityError,
                      SingularSystemError, ValidationError)
+from .mtl import TWO_PI, _freq_array, _scalar_or_array
 from .purcell import ShuntLC
-
-TWO_PI = 2.0 * math.pi
 
 # raised-cosine edges are sampled piecewise-constant at most this coarsely
 EDGE_SAMPLE_MAX_S = 0.1e-9
@@ -92,7 +91,6 @@ class MuxNetwork:
     channels: tuple[ReadoutChannel, ...]
     shunt: ShuntLC
     z0_line: float = 50.0
-    qubits: dict[str, QubitInfo] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "channels", tuple(self.channels))
@@ -126,14 +124,9 @@ def validate_state(net: MuxNetwork, state: str) -> str:
 
 def shunt_reflection(shunt: ShuntLC, z0: float, f) -> complex:
     """Reflection coefficient of the lossless shunt LC; |Gamma| = 1."""
-    scalar = np.ndim(f) == 0
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    if np.any(f <= 0):
-        raise ValidationError("frequency must be > 0")
-    w = TWO_PI * f
-    y = 1j * (w * shunt.c_shunt - 1.0 / (w * shunt.l_shunt))
-    out = (1.0 - z0 * y) / (1.0 + z0 * y)
-    return complex(out[0]) if scalar else out
+    f, scalar = _freq_array(f)
+    y = shunt.admittance(f)
+    return _scalar_or_array((1.0 - z0 * y) / (1.0 + z0 * y), scalar)
 
 
 def _branch_admittance(ch: ReadoutChannel, state: str, f):
@@ -171,14 +164,11 @@ def gamma_filter(ch: ReadoutChannel, state: str, f_d) -> complex:
     Unimodular when the internal linewidths vanish.  The exact branch pole
     (bare over-coupled filter on resonance) returns the limit value -1.
     """
-    scalar = np.ndim(f_d) == 0
-    f = np.atleast_1d(np.asarray(f_d, dtype=float))
-    if np.any(f <= 0):
-        raise ValidationError("frequency must be > 0")
+    f, scalar = _freq_array(f_d)
     u, pole = _branch_admittance(ch, state, f)
     with np.errstate(invalid="ignore"):
         out = np.where(pole, -1.0 + 0j, (1.0 - u) / (1.0 + u))
-    return complex(out[0]) if scalar else out
+    return _scalar_or_array(out, scalar)
 
 
 def gamma_incident(net: MuxNetwork, state: str, f_d) -> complex:
@@ -190,13 +180,8 @@ def gamma_incident(net: MuxNetwork, state: str, f_d) -> complex:
     reported as CompositionPoleError.
     """
     state = validate_state(net, state)
-    scalar = np.ndim(f_d) == 0
-    f = np.atleast_1d(np.asarray(f_d, dtype=float))
-    if np.any(f <= 0):
-        raise ValidationError("frequency must be > 0")
-    w = TWO_PI * f
-    y_sh = 1j * (w * net.shunt.c_shunt - 1.0 / (w * net.shunt.l_shunt))
-    total = net.z0_line * y_sh + 0j
+    f, scalar = _freq_array(f_d)
+    total = net.z0_line * net.shunt.admittance(f) + 0j
     for ch, s in zip(net.channels, state):
         u, pole = _branch_admittance(ch, s, f)
         if np.any(pole):
@@ -206,8 +191,7 @@ def gamma_incident(net: MuxNetwork, state: str, f_d) -> complex:
         total = total + u
     if np.any(np.abs(1.0 + total) == 0.0):
         raise CompositionPoleError("total admittance sum hit -1 exactly")
-    out = (1.0 - total) / (1.0 + total)
-    return complex(out[0]) if scalar else out
+    return _scalar_or_array((1.0 - total) / (1.0 + total), scalar)
 
 
 def system_matrix(net: MuxNetwork, state: str, f_d: float,
@@ -337,7 +321,7 @@ class DrivePulse:
             t0 = t1
         out[t == t0] = prev
         out[t > t0] = 0.0
-        return complex(out[0]) if scalar else out
+        return _scalar_or_array(out, scalar)
 
     def sample_intervals(self):
         """Piecewise-constant sampling of the envelope.

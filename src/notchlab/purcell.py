@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .equiv import LumpedPair, equivalent_pair, map_resonator, two_port_z
+from .equiv import (EquivCap, LumpedPair, LumpedResonator, NotchLC,
+                    _lc_admittance, equivalent_pair, j_mtl, map_resonator,
+                    two_port_z)
 from .errors import ValidationError
-from .mtl import CoupledPairGeometry, _freq_array, z21_auto
-
-TWO_PI = 2.0 * math.pi
+from .mtl import (TWO_PI, CoupledPairGeometry, _freq_array, _scalar_or_array,
+                  z21_auto)
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,14 @@ class ShuntLC:
         """Frequency where the shunt impedance diverges (Hz)."""
         return 1.0 / (TWO_PI * math.sqrt(self.l_shunt * self.c_shunt))
 
+    def admittance(self, f):
+        return _lc_admittance(f, self.c_shunt, self.l_shunt)
+
     def impedance(self, f) -> complex:
-        scalar = np.ndim(f) == 0
-        w = TWO_PI * np.atleast_1d(np.asarray(f, dtype=float))
-        y = 1j * (w * self.c_shunt - 1.0 / (w * self.l_shunt))
+        f, scalar = _freq_array(f)
+        y = self.admittance(f)
         out = np.where(np.abs(y) == 0.0, np.inf + 0j, 1.0 / np.where(y == 0, 1, y))
-        return complex(out[0]) if scalar else out
+        return _scalar_or_array(out, scalar)
 
 
 def _line_mods(f: np.ndarray, z0_line: float, shunt: ShuntLC | None):
@@ -97,8 +100,6 @@ def re_input_admittance(z11, z22, z21, coupling: QubitCoupling, f,
     the same grid; a scalar f returns a float.
     """
     f, scalar = _freq_array(f)
-    if not np.all(f > 0):
-        raise ValidationError("frequency must be > 0")
     small = np.minimum(np.abs(z11), np.abs(z22))
     abs_z21 = np.abs(z21)
     strong = (small > 0) & (abs_z21 > 0.1 * small)
@@ -112,8 +113,7 @@ def re_input_admittance(z11, z22, z21, coupling: QubitCoupling, f,
     z_ext_add, z0_eff = _line_mods(f, coupling.z0_line, shunt)
     z_ext = z_ext + z_ext_add
     denom = np.abs((z11 + z_qr) * (z22 + z_ext + z0_eff)) ** 2
-    out = z0_eff * abs_z21 ** 2 / denom
-    return float(out[0]) if scalar else out
+    return _scalar_or_array(z0_eff * abs_z21 ** 2 / denom, scalar, float)
 
 
 @dataclass(frozen=True)
@@ -136,11 +136,8 @@ def _two_port_at(network, f: np.ndarray):
         # geometry-direct path: exact distributed Z21, coupler-independent
         # lumped Z11/Z22 (valid at weak coupling)
         z21 = z21_auto(network, f)
-        w = TWO_PI * f
-        res_r = map_resonator(network.ell_r, network.line)
-        res_p = map_resonator(network.ell_p, network.line)
-        y11 = 1j * (w * res_r.c - 1.0 / (w * res_r.l))
-        y22 = 1j * (w * res_p.c - 1.0 / (w * res_p.l))
+        y11 = map_resonator(network.ell_r, network.line).admittance(f)
+        y22 = map_resonator(network.ell_p, network.line).admittance(f)
         return 1.0 / y11, 1.0 / y22, z21
     raise ValidationError(
         f"unsupported network type {type(network).__name__}; pass a "
@@ -164,9 +161,8 @@ def t1_purcell(network, coupling: QubitCoupling, f_q=None,
         t1 = coupling.c_q / re_y
     limited = t1 > T1_NOTCH_CUTOFF_S
     t1 = np.where(limited, np.inf, t1)
-    if scalar:
-        return T1Result(t1_s=float(t1[0]), notch_limited=bool(limited[0]))
-    return T1Result(t1_s=t1, notch_limited=limited)
+    return T1Result(t1_s=_scalar_or_array(t1, scalar, float),
+                    notch_limited=_scalar_or_array(limited, scalar, bool))
 
 
 def enhancement_factor(f_q, f_n: float, f_rp_bar: float):
@@ -176,8 +172,8 @@ def enhancement_factor(f_q, f_n: float, f_rp_bar: float):
     qubit approaches the notch; infinite at exact coincidence.  f_q may be
     an array; a scalar f_q returns a float.
     """
-    fq, scalar = _freq_array(f_q)
-    for name, val in (("f_q", fq), ("f_n", f_n), ("f_rp_bar", f_rp_bar)):
+    fq, scalar = _freq_array(f_q, "f_q")
+    for name, val in (("f_n", f_n), ("f_rp_bar", f_rp_bar)):
         if not np.all(val > 0):
             raise ValidationError(f"{name} must be > 0")
     if np.any(np.abs(fq - f_n) > 0.2 * f_n):
@@ -188,7 +184,7 @@ def enhancement_factor(f_q, f_n: float, f_rp_bar: float):
     detuning = np.where(at_notch, 1.0, fq - f_n)
     xi = np.where(at_notch, np.inf,
                   0.25 * (fq / detuning) ** 2 * bracket ** 2)
-    return float(xi[0]) if scalar else xi
+    return _scalar_or_array(xi, scalar, float)
 
 
 def enhancement_bandwidth(xi_target: float, f_n: float, f_rp_bar: float) -> float:
@@ -247,8 +243,6 @@ def constrained_pair(f_r: float, f_p: float, j_hz: float, f_n: float,
     impedance is solved from the exact coupling relation so the pair has
     exchange coupling j_hz and a transmission zero at f_n.
     """
-    from .equiv import LumpedResonator, NotchLC
-
     z_char = 4.0 * z0 / math.pi
     w_r, w_p, w_n = TWO_PI * f_r, TWO_PI * f_p, TWO_PI * f_n
     readout = LumpedResonator(c=1.0 / (z_char * w_r), l=z_char / w_r)
@@ -263,8 +257,6 @@ def constrained_pair(f_r: float, f_p: float, j_hz: float, f_n: float,
 
 def capacitive_twin(pair: LumpedPair, j_hz: float) -> LumpedPair:
     """Capacitively coupled pair with the same resonators and coupling J."""
-    from .equiv import EquivCap
-
     w_r = TWO_PI * pair.readout.f0
     w_p = TWO_PI * pair.filter.f0
     c_t = (2.0 * TWO_PI * j_hz
@@ -273,13 +265,19 @@ def capacitive_twin(pair: LumpedPair, j_hz: float) -> LumpedPair:
                       coupler=EquivCap(c_t))
 
 
+def mtl_pair_and_twin(geom: CoupledPairGeometry):
+    """(pair, twin): lumped image of an MTL pair and its equal-J capacitive twin.
+
+    The twin's coupling is the exact-form J of the MTL pair.
+    """
+    pair = equivalent_pair(geom)
+    return pair, capacitive_twin(pair, j_mtl(geom, exact=True))
+
+
 def mtl_vs_cap_t1_ratio(geom: CoupledPairGeometry, coupling: QubitCoupling,
                         f_q: float | None = None) -> float:
     """Full-circuit T1 ratio of an MTL pair against its equal-J capacitive twin."""
-    from .equiv import j_mtl
-
-    pair = equivalent_pair(geom)
-    twin = capacitive_twin(pair, j_mtl(geom, exact=True))
+    pair, twin = mtl_pair_and_twin(geom)
     t_mtl = t1_purcell(pair, coupling, f_q)
     t_cap = t1_purcell(twin, coupling, f_q)
     if t_mtl.notch_limited:

@@ -10,7 +10,6 @@ identifiable.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -18,9 +17,8 @@ import numpy as np
 from scipy.optimize import least_squares, minimize
 
 from .errors import ValidationError
+from .mtl import TWO_PI
 from .mux import MuxNetwork, gamma_incident
-
-TWO_PI = 2.0 * math.pi
 
 # internal optimizer scaling: frequencies in GHz, rates in MHz, tau in ns
 _GROUPS = ("f_r_g", "f_p", "j", "kappa_p", "chi", "gamma_r", "gamma_p")
@@ -73,7 +71,6 @@ class FitConfig:
     ftol: float = 1e-12
     gtol: float = 1e-12
     max_eval: int = 20000
-    seed: int = 0
 
     def __post_init__(self):
         for tol in (self.xtol, self.ftol, self.gtol):

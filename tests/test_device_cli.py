@@ -1,5 +1,8 @@
+import argparse
+import inspect
 import json
 import math
+import re
 
 import jsonschema
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 
 import notchlab.cli
 from notchlab import ValidationError
-from notchlab.cli import run
+from notchlab.cli import build_parser, run
 from notchlab.device import (DEVICE_SCHEMA, device_from_dict, device_to_dict,
                              load_device, load_paper_device,
                              paper_device_path)
@@ -48,6 +51,19 @@ class TestDeviceFile:
         raw = json.loads(device_path.read_text())
         raw["geometry"][0]["l_r_open_um"] = -5.0
         with pytest.raises(ValidationError, match="l_r_open_um"):
+            device_from_dict(raw)
+
+    @pytest.mark.parametrize("key,value", [
+        ("f_r_g_mhz", math.nan), ("f_r_g_mhz", math.inf),
+        ("chi_mhz", -math.inf),
+        pytest.param("chi_mhz", 10 ** 400, id="chi_mhz-int-overflow")])
+    def test_non_finite_dict_value_rejected(self, key, value):
+        # the dict path shares load_device's check; the schema alone lets
+        # all four through
+        raw = device_to_dict(load_paper_device())
+        raw["channels"][1][key] = value
+        with pytest.raises(ValidationError,
+                           match=f"channels/1/{key}: non-finite"):
             device_from_dict(raw)
 
     def test_round_trip_canonical(self, tmp_path, device_path):
@@ -245,6 +261,8 @@ class TestCliCommands:
         ("modes", "chi_mhz", "NaN"),
         ("modes", "f_r_g_mhz", "Infinity"),
         ("reflect", "kappa_p_mhz", "1e999"),
+        pytest.param("modes", "f_p_mhz", "1" + "0" * 400,
+                     id="modes-f_p_mhz-int-overflow"),
     ])
     def test_non_finite_device_number_rejected(self, tmp_path, capsys,
                                                command, key, value):
@@ -289,3 +307,43 @@ class TestCliCommands:
         assert run(["device", "--device", str(out1),
                     "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("argv", [
+        ["modes", "--state", "gegg"],
+        ["device"],
+        ["design"],
+        ["budget", "--snr", "8.4", "--tau-meas-ns", "56", "--t1-us", "26"],
+        ["calibrate", "--delta-ac-hz=-15.6e6", "--chi-hz=-7.8e6",
+         "--p-w", "1e-16", "--rabi-hz", "5e6", "--f-d-hz", "10.3e9"],
+    ], ids=lambda argv: argv[0])
+    def test_stdout_bytes_equal_out_file(self, device_path, tmp_path, capsys,
+                                         argv):
+        if argv[0] in ("modes", "device", "design"):
+            argv = argv[:1] + ["--device", str(device_path)] + argv[1:]
+        out = tmp_path / "out"
+        assert run(argv + ["--out", str(out)]) == 0
+        capsys.readouterr()
+        assert run(argv) == 0
+        assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+def _subparsers() -> dict:
+    action = next(a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+class TestFlagLiveness:
+    @pytest.mark.parametrize("command", sorted(_subparsers()))
+    def test_every_flag_is_read(self, command):
+        # each option must be read as args.<dest> by the command handler,
+        # a helper the handler passes args to, or run()
+        sub = _subparsers()[command]
+        src = inspect.getsource(sub.get_default("fn"))
+        for helper in set(re.findall(r"(\w+)\(args\)", src)):
+            src += inspect.getsource(getattr(notchlab.cli, helper))
+        src += inspect.getsource(run)
+        dead = [a.dest for a in sub._actions
+                if not isinstance(a, argparse._HelpAction)
+                and f"args.{a.dest}" not in src]
+        assert dead == []

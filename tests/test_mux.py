@@ -1,16 +1,20 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import NOISE_PHOTON_BOUNDS, QUBIT_TABLE, TABLE_MODES
 from notchlab import (CompositionPoleError, DrivePulse, MuxNetwork,
-                      PulseSegment, ReadoutChannel, ShuntLC, ValidationError,
-                      critical_photon, drive_for_photon_number, gamma_filter,
-                      gamma_incident, mode_dispersive_shifts,
-                      noise_photon_bound, normal_modes, propagate, separation,
-                      shunt_reflection, steady_state, system_matrix)
+                      PulseSegment, QubitCoupling, ReadoutChannel, ShuntLC,
+                      ValidationError, critical_photon,
+                      drive_for_photon_number, enhancement_factor,
+                      equivalent_pair, gamma_filter, gamma_incident,
+                      mode_dispersive_shifts, noise_photon_bound,
+                      normal_modes, propagate, separation, shunt_reflection,
+                      steady_state, system_matrix, t1_purcell, two_port_z,
+                      z21_capacitive, z21_general)
 
 TWO_PI = 2 * math.pi
 PAPER_SHUNT = ShuntLC(c_shunt=230e-15, l_shunt=1.01e-9)
@@ -411,3 +415,33 @@ class TestNetworkValidation:
     def test_channel_count_bounds(self):
         with pytest.raises(ValidationError):
             MuxNetwork(channels=(), shunt=PAPER_SHUNT)
+
+
+# Every frequency-taking entry point of L1/L2, called at frequency f.
+FREQUENCY_CALLS = {
+    "z21_general": lambda dev, f: z21_general(dev.pair("Q1"), f),
+    "z21_capacitive": lambda dev, f: z21_capacitive(dev.pair("Cap"), f),
+    "two_port_z": lambda dev, f: two_port_z(
+        equivalent_pair(dev.pair("Q1")), f),
+    "shunt_reflection": lambda dev, f: shunt_reflection(dev.shunt, 50.0, f),
+    "gamma_filter": lambda dev, f: gamma_filter(dev.channels[0], "g", f),
+    "gamma_incident": lambda dev, f: gamma_incident(
+        dev.mux_network(), "gggg", f),
+    "t1_purcell": lambda dev, f: t1_purcell(
+        equivalent_pair(dev.pair("Q1")),
+        QubitCoupling(90e-15, 5e-15, 10e-15, 50.0, 8e9), f_q=f),
+    "enhancement_factor": lambda dev, f: enhancement_factor(
+        f, 8.278e9, 10.3e9),
+}
+
+
+@pytest.mark.parametrize("f", [math.nan, 0.0, math.inf,
+                               np.array([8.5e9, math.nan])],
+                         ids=["nan", "zero", "inf", "nan_in_grid"])
+@pytest.mark.parametrize("name", sorted(FREQUENCY_CALLS))
+def test_nan_zero_inf_frequency_rejected(paper_device, name, f):
+    with warnings.catch_warnings():
+        # rejected before any arithmetic: no RuntimeWarning on the way
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="must be > 0"):
+            FREQUENCY_CALLS[name](paper_device, f)
