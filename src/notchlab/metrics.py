@@ -82,20 +82,23 @@ def stark_linear_fit(points) -> tuple[float, float, float]:
     points is an iterable of (power, stark-shifted qubit frequency in Hz).
     Returns (f_q, k, standard error of f_q).
     """
-    pts = [(float(p), float(f)) for p, f in points]
+    pts = np.array([(float(p), float(f)) for p, f in points]).reshape(-1, 2)
     if len(pts) < 3:
         raise ValidationError("need at least 3 points for the Stark fit")
-    p = np.array([t[0] for t in pts])
-    f = np.array([t[1] for t in pts])
-    a = np.column_stack([np.ones_like(p), p])
+    p, f = pts.T
+    # power centered, scaled to [-1, 1]: unit-free; a zero column if constant
+    p_mid = float(np.mean(p))
+    p_span = float(np.max(np.abs(p - p_mid))) or 1.0
+    a = np.column_stack([np.ones_like(p), (p - p_mid) / p_span])
     if np.linalg.matrix_rank(a) < 2:
         raise ValidationError("Stark fit is rank-deficient (constant power?)")
-    coef, res_ss, *_ = np.linalg.lstsq(a, f, rcond=None)
+    coef, *_ = np.linalg.lstsq(a, f, rcond=None)
     resid = f - a @ coef
-    dof = max(len(pts) - 2, 1)
-    s2 = float(resid @ resid) / dof
+    s2 = float(resid @ resid) / (len(pts) - 2)
     cov = s2 * np.linalg.inv(a.T @ a)
-    return float(coef[0]), float(coef[1]), float(math.sqrt(max(cov[0, 0], 0.0)))
+    k = float(coef[1]) / p_span
+    g = np.array([1.0, -p_mid / p_span])  # d f_q / d coef at P = 0
+    return float(coef[0]) - k * p_mid, k, math.sqrt(max(g @ cov @ g, 0.0))
 
 
 def rabi_to_omega(f_rabi: float, transition: str = "ge") -> float:

@@ -90,7 +90,7 @@ class FitResult:
     residual_norm: float
     converged: bool
     chi_reported: bool
-    n_eval: int
+    n_eval: int  # residual evaluations in all stages, Jacobian ones included
 
 
 def wrap_phase(x):
@@ -205,7 +205,11 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
             raise ValidationError("the two spectra must overlap in frequency")
         spectra.append((spec_e, "e" * net0.n))
 
+    n_eval = 0
+
     def residuals(x):
+        nonlocal n_eval
+        n_eval += 1
         net, th, ta = _unpack(x, net0, cfg.theta0, cfg.tau, free)
         parts = []
         for spec, joint in spectra:
@@ -222,7 +226,6 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
     x0 = _pack(net0, theta0_init, tau_init, free)
     res = least_squares(residuals, x0, method="lm", xtol=cfg.xtol,
                         ftol=cfg.ftol, gtol=cfg.gtol, max_nfev=cfg.max_eval)
-    n_eval = res.nfev
     if not res.success or not np.isfinite(res.cost):
         # deterministic simplex restart, then polish with LM again
         nm = minimize(lambda x: 0.5 * np.sum(residuals(x) ** 2), res.x,
@@ -231,7 +234,6 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
         res2 = least_squares(residuals, nm.x, method="lm", xtol=cfg.xtol,
                              ftol=cfg.ftol, gtol=cfg.gtol,
                              max_nfev=cfg.max_eval)
-        n_eval += nm.nfev + res2.nfev
         if res2.cost <= res.cost:
             res = res2
 

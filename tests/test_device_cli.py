@@ -2,7 +2,11 @@ import argparse
 import inspect
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -347,3 +351,17 @@ class TestFlagLiveness:
                 if not isinstance(a, argparse._HelpAction)
                 and f"args.{a.dest}" not in src]
         assert dead == []
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.integrate costs about 0.1 s of every CLI start and no command
+    # needs it; keep the import floor from creeping back up
+    src = str(Path(notchlab.cli.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import sys, notchlab.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.integrate')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -94,6 +94,21 @@ class TestStarkLinearFit:
                 hits += 1
         assert hits / n_try >= 0.95
 
+    def test_femtowatt_powers_same_fit_as_scaled_units(self):
+        # eight powers from 0 to 1 fW in watts fit as the same data in fW
+        rng = np.random.default_rng(7)
+        p_fw = np.linspace(0.0, 1.0, 8)
+        f = 8.0e9 - 25e6 * p_fw + rng.normal(0, 20e3, p_fw.size)
+        f_q, k, err = stark_linear_fit(zip(p_fw * 1e-15, f))
+        f_q_fw, k_fw, err_fw = stark_linear_fit(zip(p_fw, f))
+        assert f_q == pytest.approx(f_q_fw, rel=1e-12)
+        assert k * 1e-15 == pytest.approx(k_fw, rel=1e-9)
+        assert err == pytest.approx(err_fw, rel=1e-9)
+        assert abs(f_q - 8.0e9) < 6 * err
+        # a constant femtowatt power is still degenerate
+        with pytest.raises(ValidationError, match="rank-deficient"):
+            stark_linear_fit([(1e-15, 8e9), (1e-15, 8.1e9), (1e-15, 8.2e9)])
+
     def test_degenerate_rejected(self):
         with pytest.raises(ValidationError):
             stark_linear_fit([(1e-6, 8e9), (1e-6, 8.1e9), (1e-6, 8.2e9)])

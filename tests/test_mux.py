@@ -1,14 +1,19 @@
+import dataclasses
 import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
+from scipy.linalg import expm
 
 from conftest import NOISE_PHOTON_BOUNDS, QUBIT_TABLE, TABLE_MODES
+import notchlab.mux
 from notchlab import (CompositionPoleError, DrivePulse, MuxNetwork,
-                      PulseSegment, QubitCoupling, ReadoutChannel, ShuntLC,
-                      ValidationError, critical_photon,
+                      NumericalError, PulseSegment, QubitCoupling,
+                      ReadoutChannel, ShuntLC, ValidationError,
+                      critical_photon,
                       drive_for_photon_number, enhancement_factor,
                       equivalent_pair, gamma_filter, gamma_incident,
                       mode_dispersive_shifts, noise_photon_bound,
@@ -349,6 +354,158 @@ class TestNoisePhotonBound:
             n = noise_photon_bound(mux_net, name, 1.0 / t2e)
             target = NOISE_PHOTON_BOUNDS[name]
             assert 0.5 * target < n < 1.5 * target, name
+
+
+def quad_noise_photon_bound(net, target, gamma_phi):
+    """The bound by adaptive Gauss-Kronrod quadrature over scalar calls.
+
+    The reference the fixed-grid trapezoid rule replaced: same window, break
+    points at every bare frequency, absolute tolerance 1e-6 of the peak of a
+    4001-point scan, relative tolerance 1e-9.
+    """
+    state_g = "g" * net.n
+    state_e = "".join("e" if ch.name == target else "g" for ch in net.channels)
+
+    def integrand(f):
+        return abs(gamma_incident(net, state_e, f)
+                   - gamma_incident(net, state_g, f)) ** 2
+
+    freqs = [ch.f_p for ch in net.channels] + [ch.f_r_g for ch in net.channels]
+    kmax = max(ch.kappa_p for ch in net.channels)
+    lo = min(freqs) - 20.0 * kmax
+    hi = max(freqs) + 20.0 * kmax
+    peak = float(np.max(integrand(np.linspace(lo, hi, 4001))))
+    val, _ = quad(integrand, lo, hi, points=sorted(freqs), limit=500,
+                  epsabs=1e-6 * peak, epsrel=1e-9)
+    return 2.0 * gamma_phi / val
+
+
+def narrowed(net, scale):
+    """Copy with every kappa_p times scale and j times sqrt(scale)."""
+    return dataclasses.replace(net, channels=tuple(
+        dataclasses.replace(ch, kappa_p=ch.kappa_p * scale,
+                            j=ch.j * math.sqrt(scale))
+        for ch in net.channels))
+
+
+@pytest.fixture()
+def grid_sizes(monkeypatch):
+    """Sizes of the frequency grids handed to mux.gamma_incident."""
+    sizes = []
+    inner = notchlab.mux.gamma_incident
+
+    def counted(net, state, f_d):
+        sizes.append(np.size(f_d))
+        return inner(net, state, f_d)
+
+    monkeypatch.setattr(notchlab.mux, "gamma_incident", counted)
+    return sizes
+
+
+class TestNoisePhotonBoundVsQuad:
+    def test_paper_device(self, mux_net, grid_sizes):
+        for name, row in QUBIT_TABLE.items():
+            gamma_phi = 1.0 / (row[4] * 1e-6)
+            n = noise_photon_bound(mux_net, name, gamma_phi)
+            ref = quad_noise_photon_bound(mux_net, name, gamma_phi)
+            assert n == pytest.approx(ref, rel=1e-10, abs=0), name
+        assert min(grid_sizes) >= notchlab.mux.NOISE_GRID_START
+
+    @pytest.mark.parametrize("scale, target", [
+        (0.1, "Q1"), (0.1, "Q2"), (0.1, "Q3"), (0.1, "Q4"),
+        (0.02, "Q1"), (0.02, "Q2")])
+    def test_narrow_lines_refine(self, mux_net, grid_sizes, scale, target):
+        net = narrowed(mux_net, scale)
+        n = noise_photon_bound(net, target, 1e4)
+        assert max(grid_sizes) > notchlab.mux.NOISE_GRID_START  # refined
+        assert n == pytest.approx(quad_noise_photon_bound(net, target, 1e4),
+                                  rel=1e-9, abs=0)
+
+    def test_unresolved_lines_stop_at_the_cap(self, mux_net, grid_sizes):
+        with pytest.raises(NumericalError, match="not converged"):
+            noise_photon_bound(narrowed(mux_net, 0.005), "Q1", 1e4)
+        assert max(grid_sizes) <= notchlab.mux.NOISE_GRID_MAX
+        assert 2 * max(grid_sizes) - 1 > notchlab.mux.NOISE_GRID_MAX
+
+
+def propagate_per_step(net, state, pulse, dt_out):
+    """(p, r, s_out) from the step loop as first written.
+
+    Each step looks its envelope sample up at the step midpoint and keys its
+    matrix exponential by round(h, 18) on its own; propagate must reproduce
+    this loop bit for bit.
+    """
+    a, d = system_matrix(net, state, pulse.f_d)
+    m = 1j * a
+    n = net.n
+    dim = 2 * n
+    t_end = pulse.duration
+    n_out = int(math.floor(t_end / dt_out + 1e-9))
+    out_times = np.arange(n_out + 1) * dt_out
+    if out_times[-1] < t_end - 1e-15:
+        out_times = np.append(out_times, t_end)
+    bounds = set(float(x) for x in out_times)
+    intervals = list(pulse.sample_intervals())
+    for t0, t1, _ in intervals:
+        bounds.add(float(t0))
+        bounds.add(float(t1))
+    cuts = np.array(sorted(bounds))
+    cuts = cuts[(cuts >= 0) & (cuts <= t_end + 1e-15)]
+    keep = np.ones(cuts.size, dtype=bool)
+    keep[1:] = np.diff(cuts) > 1e-15
+    cuts = cuts[keep]
+    starts = np.array([iv[0] for iv in intervals])
+    amps = [iv[2] for iv in intervals]
+
+    def amp_at(tm):
+        i = int(np.searchsorted(starts, tm, side="right")) - 1
+        return amps[max(i, 0)]
+
+    cache = {}
+
+    def step_ops(h):
+        key = round(h, 18)
+        if key not in cache:
+            aug = np.zeros((dim + 1, dim + 1), dtype=complex)
+            aug[:dim, :dim] = m
+            aug[:dim, dim] = d
+            big = expm(aug * h)
+            cache[key] = (big[:dim, :dim], big[:dim, dim])
+        return cache[key]
+
+    x = np.zeros(dim, dtype=complex)
+    states = np.zeros((out_times.size, dim), dtype=complex)
+    out_idx = 1
+    for k in range(cuts.size - 1):
+        t0, t1 = cuts[k], cuts[k + 1]
+        h = t1 - t0
+        e_h, f_h = step_ops(h)
+        u = amp_at(0.5 * (t0 + t1))
+        x = e_h @ x + f_h * u
+        while out_idx < out_times.size and out_times[out_idx] <= t1 + 1e-15:
+            states[out_idx] = x
+            out_idx += 1
+
+    gs = shunt_reflection(net.shunt, net.z0_line, pulse.f_d)
+    s_in = np.asarray(pulse.envelope(out_times), dtype=complex)
+    root_k = np.sqrt(np.array([TWO_PI * ch.kappa_p for ch in net.channels]))
+    p = states[:, :n].T
+    r = states[:, n:].T
+    return p, r, gs * s_in - 0.5 * (1.0 + gs) * (root_k @ p)
+
+
+class TestPropagateStepLoop:
+    @pytest.mark.parametrize("dt_out", [0.25e-9, 0.3e-9, 0.5e-9])
+    @pytest.mark.parametrize("tail", [0.0, 30e-9])
+    def test_bit_identical_to_per_step_loop(self, mux_net, dt_out, tail):
+        f_d = QUBIT_TABLE["Q2"][6] * 1e6
+        pulse = DrivePulse.two_step(f_d, 1.2e6, 137.3e-9, tail=tail)
+        for state in ("gggg", "gegg"):
+            tr = propagate(mux_net, state, pulse, dt_out)
+            p, r, s_out = propagate_per_step(mux_net, state, pulse, dt_out)
+            assert np.array_equal(tr.p, p)
+            assert np.array_equal(tr.r, r)
+            assert np.array_equal(tr.s_out, s_out)
 
 
 class TestCriticalPhoton:

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from notchlab import (FitConfig, PhaseSpectrum, ShuntLC, ValidationError,
-                      fit_reflection, gamma_incident, model_phase,
-                      synth_spectrum, wrap_phase)
+import notchlab.specfit
+from notchlab import (FitConfig, MuxNetwork, PhaseSpectrum, ReadoutChannel,
+                      ShuntLC, ValidationError, fit_reflection,
+                      gamma_incident, model_phase, synth_spectrum, wrap_phase)
 
 PAPER_SHUNT = ShuntLC(c_shunt=230e-15, l_shunt=1.01e-9)
 GRID = np.linspace(10.0e9, 10.9e9, 901)
@@ -174,3 +175,30 @@ class TestFitReflection:
         hi = synth_spectrum(mux_net, "e", 0, 0, np.linspace(5e9, 6e9, 50), 0)
         with pytest.raises(ValidationError):
             fit_reflection(lo, hi, FitConfig(initial=mux_net))
+
+
+@pytest.mark.parametrize("max_eval", [20000, 3],
+                         ids=["lm", "lm-stalls-simplex-polish"])
+def test_n_eval_counts_every_model_evaluation(monkeypatch, max_eval):
+    ch = ReadoutChannel(name="Q", f_r_g=10386e6, chi=-9.9e6, f_p=10407e6,
+                        j=39.4e6, kappa_p=81.4e6)
+    net = MuxNetwork(channels=(ch,), shunt=PAPER_SHUNT)
+    grid = np.linspace(10.2e9, 10.6e9, 201)
+    spec_g = synth_spectrum(net, "g", THETA0, TAU, grid, 0.01, seed=1)
+    spec_e = synth_spectrum(net, "e", THETA0, TAU, grid, 0.01, seed=2)
+    guess = dataclasses.replace(net, channels=(
+        dataclasses.replace(ch, f_r_g=ch.f_r_g + 1e6, j=ch.j + 0.5e6),))
+    calls = []
+    inner = notchlab.specfit.model_phase
+
+    def counted(*args):
+        calls.append(args[1])
+        return inner(*args)
+
+    monkeypatch.setattr(notchlab.specfit, "model_phase", counted)
+    res = fit_reflection(spec_g, spec_e, FitConfig(
+        initial=guess, theta0=0.6, tau=0.25e-9, max_eval=max_eval))
+    # two spectra per residual evaluation, plus one each in the delay prefit
+    assert len(calls) == 2 * res.n_eval + 2
+    if max_eval == 3:
+        assert res.n_eval > 2 * max_eval  # the restart and polish count too
