@@ -202,15 +202,46 @@ def _cmd_purcell(args) -> int:
     return 0
 
 
-def _read_spectrum(path, state: str) -> specfit.PhaseSpectrum:
+def _read_columns(path, what: str, columns: tuple[str, ...]) -> list:
+    """The columns of a CSV file with one header line, as arrays.
+
+    A column named "label" is text (cut at 16 characters, longer than any
+    valid label); every other cell must be a finite number.  An unreadable
+    or empty file, a wrong column count and a non-numeric or non-finite
+    cell raise ValidationError (exit 2, before any output is written),
+    naming the file and the expected columns.
+    """
+    def invalid(detail: str) -> ValidationError:
+        return ValidationError(
+            f"{what} {path}: {detail}; expected a header line, then rows of "
+            f"{','.join(columns)} with finite numbers")
+
+    dtype = [(name, "U16" if name == "label" else float) for name in columns]
     try:
-        data = np.loadtxt(path, delimiter=",", skiprows=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # empty input; checked below
+            table = np.loadtxt(path, delimiter=",", skiprows=1, dtype=dtype,
+                               ndmin=1)
     except OSError as exc:
-        raise ValidationError(f"cannot read spectrum {path}: {exc}")
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise ValidationError(f"spectrum {path} must have columns freq_hz,phase_rad")
-    return specfit.PhaseSpectrum(freq_hz=data[:, 0], phase_rad=data[:, 1],
-                                 state=state)
+        raise ValidationError(f"cannot read {what} {path}: {exc}")
+    except ValueError as exc:  # a cell that is no number, a column missing
+        # numpy's own advice after the ';' (usecols) is not for CLI users
+        raise invalid(str(exc).split(";")[0].rstrip("."))
+    if table.size == 0:
+        raise invalid("no data rows")
+    for name in columns:
+        if name != "label":
+            bad = ~np.isfinite(table[name])
+            if bad.any():
+                row = int(np.argmax(bad))
+                raise invalid(f"data row {row + 1} has {name} = "
+                              f"{float(table[name][row])}")
+    return [np.ascontiguousarray(table[name]) for name in columns]
+
+
+def _read_spectrum(path, state: str) -> specfit.PhaseSpectrum:
+    freq, phase = _read_columns(path, "spectrum", ("freq_hz", "phase_rad"))
+    return specfit.PhaseSpectrum(freq_hz=freq, phase_rad=phase, state=state)
 
 
 def _cmd_fit(args) -> int:
@@ -248,14 +279,10 @@ def _cmd_budget(args) -> int:
     snr = args.snr
     counts = None
     if args.shots:
-        try:
-            raw = np.genfromtxt(args.shots, delimiter=",", skip_header=1,
-                                dtype=None, encoding="utf-8")
-        except OSError as exc:
-            raise ValidationError(f"cannot read shots {args.shots}: {exc}")
-        labels = [r[0] for r in raw]
-        iq = np.array([[float(r[1]), float(r[2])] for r in raw])
-        ana = metrics.shot_analysis(iq, labels, n_train=args.train)
+        labels, i, q = _read_columns(args.shots, "shots",
+                                     ("label", "i", "q"))
+        ana = metrics.shot_analysis(np.column_stack([i, q]), labels,
+                                    n_train=args.train)
         snr = ana.stats.snr
     if args.counts:
         with open(args.counts, "r", encoding="utf-8") as fh:
@@ -284,12 +311,9 @@ def _cmd_budget(args) -> int:
 def _cmd_calibrate(args) -> int:
     payload = {}
     if args.stark:
-        try:
-            data = np.loadtxt(args.stark, delimiter=",", skiprows=1)
-        except OSError as exc:
-            raise ValidationError(f"cannot read stark file: {exc}")
-        f_q, slope, err = metrics.stark_linear_fit(
-            [(row[0], row[1]) for row in np.atleast_2d(data)])
+        power, f_ac = _read_columns(args.stark, "Stark file",
+                                    ("power_w", "f_q_ac_hz"))
+        f_q, slope, err = metrics.stark_linear_fit(zip(power, f_ac))
         payload["f_q_hz"] = f_q
         payload["slope_hz_per_w"] = slope
         payload["stderr_f_q_hz"] = err

@@ -363,6 +363,41 @@ def _logistic_irls(x: np.ndarray, y: np.ndarray, max_iter: int = 50,
     return w
 
 
+def _label_code(value) -> int | None:
+    """0 for a g label, 1 for an e label, None for anything else."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    if isinstance(value, str):
+        return {"0": 0, "g": 0, "1": 1, "e": 1}.get(value)
+    if isinstance(value, (bool, int, float)) and value in (0, 1):
+        return int(value)
+    return None
+
+
+def _shot_labels(labels) -> np.ndarray:
+    """Prepared states as 0 (g) / 1 (e), the rule applied once per value.
+
+    Accepts the numbers 0/1 (int or float), "0"/"1", "g"/"e" and bools
+    (False = g); any other label is a ValidationError that names the first
+    one in shot order.
+    """
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValidationError("labels must be one label per shot")
+    try:
+        values, inverse = np.unique(labels, return_inverse=True)
+    except TypeError:  # an object array mixing types that do not sort
+        values, inverse = labels, np.arange(labels.size)
+    codes = [_label_code(v) for v in values]
+    unknown = np.array([c is None for c in codes], dtype=bool)
+    if unknown.any():
+        bad = labels[np.argmax(unknown[inverse])]
+        bad = bad.item() if isinstance(bad, np.generic) else bad
+        raise ValidationError(
+            f"shot label {bad!r} is not one of 0/1, '0'/'1', 'g'/'e' or a bool")
+    return np.array(codes, dtype=int)[inverse]
+
+
 def shot_analysis(iq: np.ndarray, labels, n_train: int = 20000,
                   gate_sigma: float = 4.0) -> ShotAnalysis:
     """Discriminate labeled IQ shots and tag outliers.
@@ -380,8 +415,7 @@ def shot_analysis(iq: np.ndarray, labels, n_train: int = 20000,
         xy = np.asarray(iq, dtype=float)
         if xy.ndim != 2 or xy.shape[1] != 2:
             raise ValidationError("iq must be complex or of shape (n, 2)")
-    labels = np.asarray(
-        [0 if str(l) in ("0", "g") else 1 for l in labels], dtype=int)
+    labels = _shot_labels(labels)
     if labels.size != xy.shape[0]:
         raise ValidationError("labels must match the number of shots")
     n = xy.shape[0]

@@ -161,6 +161,48 @@ def _branch_admittance(ch: ReadoutChannel, state: str, f):
     return u, pole
 
 
+def _branch_partials(ch: ReadoutChannel, state: str, f) -> dict:
+    """Partial derivatives of _branch_admittance's u per Hz of each parameter.
+
+    Keyed by the ReadoutChannel fields f_r_g, chi, f_p, j, kappa_p, gamma_r
+    and gamma_p.  With a = gamma_p - 2i Delta_p and den = a w + 4 J^2:
+    du/dw = kappa 4 J^2 / den^2, du/da = -kappa w^2 / den^2,
+    du/d(4 J^2) = -kappa w / den^2 and du/dkappa = w / den.  A bare filter
+    (J = 0) takes the limit u = kappa / a, which depends on neither w nor J,
+    so there is no 0/0 at w = 0.  Values at pole points (den = 0) are
+    placeholders: gamma_incident rejects those frequencies.
+    """
+    f = np.asarray(f, dtype=float)
+    d_r = TWO_PI * (ch.f_r(state) - f)
+    d_p = TWO_PI * (ch.f_p - f)
+    kap = TWO_PI * ch.kappa_p
+    j4 = 4.0 * (TWO_PI * ch.j) ** 2
+    a = TWO_PI * ch.gamma_p - 2j * d_p
+    if j4 == 0.0:
+        inv = 1.0 / np.where(a == 0.0, 1.0, a)
+        du_dkap = inv
+        du_da = -kap * inv * inv
+        du_dw = du_dj = np.zeros_like(a)
+    else:
+        wfac = TWO_PI * ch.gamma_r - 2j * d_r
+        den = a * wfac + j4
+        inv = 1.0 / np.where(den == 0.0, 1.0, den)
+        du_dkap = wfac * inv
+        du_da = -kap * du_dkap * du_dkap
+        du_dw = kap * j4 * inv * inv
+        # d(4 J^2)/dJ = 8 (2 pi)^2 J
+        du_dj = -kap * du_dkap * inv * (2.0 * j4 / ch.j)
+    # dw/df_r = da/df_p = -2i (2 pi); f_r = f_r_g + 2 chi in state e
+    du_df_r = -2j * TWO_PI * du_dw
+    return {"f_r_g": du_df_r,
+            "chi": 2.0 * du_df_r if state == "e" else np.zeros_like(a),
+            "f_p": -2j * TWO_PI * du_da,
+            "j": du_dj,
+            "kappa_p": TWO_PI * du_dkap,
+            "gamma_r": TWO_PI * du_dw,
+            "gamma_p": TWO_PI * du_da}
+
+
 def gamma_filter(ch: ReadoutChannel, state: str, f_d) -> complex:
     """Qubit-state-dependent reflection coefficient at one filter (engineering).
 
@@ -174,6 +216,19 @@ def gamma_filter(ch: ReadoutChannel, state: str, f_d) -> complex:
     return _scalar_or_array(out, scalar)
 
 
+def _total_admittance(net: MuxNetwork, state: str, f: np.ndarray):
+    """Normalized admittance z0/Z_shunt + sum_j u_j at the common node."""
+    total = net.z0_line * net.shunt.admittance(f) + 0j
+    for ch, s in zip(net.channels, state):
+        u, pole = _branch_admittance(ch, s, f)
+        if np.any(pole):
+            raise CompositionPoleError(
+                f"channel {ch.name!r} reflects with Gamma_p = -1 at the "
+                "requested frequency")
+        total = total + u
+    return total
+
+
 def gamma_incident(net: MuxNetwork, state: str, f_d) -> complex:
     """Reflection coefficient of the full multiplexed network.
 
@@ -184,14 +239,7 @@ def gamma_incident(net: MuxNetwork, state: str, f_d) -> complex:
     """
     state = validate_state(net, state)
     f, scalar = _freq_array(f_d)
-    total = net.z0_line * net.shunt.admittance(f) + 0j
-    for ch, s in zip(net.channels, state):
-        u, pole = _branch_admittance(ch, s, f)
-        if np.any(pole):
-            raise CompositionPoleError(
-                f"channel {ch.name!r} reflects with Gamma_p = -1 at the "
-                "requested frequency")
-        total = total + u
+    total = _total_admittance(net, state, f)
     if np.any(np.abs(1.0 + total) == 0.0):
         raise CompositionPoleError("total admittance sum hit -1 exactly")
     return _scalar_or_array((1.0 - total) / (1.0 + total), scalar)

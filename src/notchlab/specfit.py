@@ -5,7 +5,10 @@ offset and an electrical delay.  Fitting works on circular residuals
 wrap(measured - model), so the cost is invariant under adding 2*pi to any
 data point and no pre-unwrapping is needed.  Both qubit-state spectra
 (all-g and all-e) are fit simultaneously, which is what makes chi
-identifiable.
+identifiable.  The Jacobian is analytic: with Gamma = (1 - Y)/(1 + Y) and
+Y the admittance sum at the common node, d arg(Gamma)/dp =
+Im(-2/((1 - Y)(1 + Y)) dY/dp), and each branch term of Y depends on its own
+channel's parameters only.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from scipy.optimize import least_squares, minimize
 
 from .errors import ValidationError
 from .mtl import TWO_PI
-from .mux import MuxNetwork, gamma_incident
+from .mux import (MuxNetwork, _branch_partials, _total_admittance,
+                  gamma_incident)
 
 # internal optimizer scaling: frequencies in GHz, rates in MHz, tau in ns
 _GROUPS = ("f_r_g", "f_p", "j", "kappa_p", "chi", "gamma_r", "gamma_p")
@@ -90,7 +94,8 @@ class FitResult:
     residual_norm: float
     converged: bool
     chi_reported: bool
-    n_eval: int  # residual evaluations in all stages, Jacobian ones included
+    n_eval: int  # residual evaluations in all stages
+    n_jac: int  # Jacobian evaluations in all stages
 
 
 def wrap_phase(x):
@@ -141,6 +146,12 @@ def _prefit_delay(net0: MuxNetwork, spectra, theta0: float, tau: float):
     return theta0 - d_theta, tau - float(np.mean(d_taus))
 
 
+def _split(name: str) -> tuple[str, int]:
+    """'kappa_p[2]' -> ('kappa_p', 2)."""
+    grp, i = name.rsplit("[", 1)
+    return grp, int(i[:-1])
+
+
 def _pack(net: MuxNetwork, theta0: float, tau: float, free: list[str]):
     x = []
     for name in free:
@@ -149,8 +160,8 @@ def _pack(net: MuxNetwork, theta0: float, tau: float, free: list[str]):
         elif name == "tau":
             x.append(tau / _SCALE["tau"])
         else:
-            grp, i = name.rsplit("[", 1)
-            x.append(getattr(net.channels[int(i[:-1])], grp) / _SCALE[grp])
+            grp, i = _split(name)
+            x.append(getattr(net.channels[i], grp) / _SCALE[grp])
     return np.array(x, dtype=float)
 
 
@@ -171,15 +182,38 @@ def _unpack(x, net: MuxNetwork, theta0: float, tau: float, free: list[str]):
     return replace(net, channels=tuple(channels)), th, ta
 
 
+def _phase_jacobian(net: MuxNetwork, spectra, free: list[str]) -> np.ndarray:
+    """d(model phase)/dx of the scaled free parameters, one row per point."""
+    blocks = []
+    for spec, joint in spectra:
+        f = spec.freq_hz
+        y = _total_admittance(net, joint, f)
+        dphi_dy = -2.0 / ((1.0 - y) * (1.0 + y))
+        partials = [_branch_partials(ch, s, f)
+                    for ch, s in zip(net.channels, joint)]
+        cols = np.empty((f.size, len(free)))
+        for k, name in enumerate(free):
+            if name == "theta0":
+                cols[:, k] = 1.0
+            elif name == "tau":
+                cols[:, k] = -TWO_PI * _SCALE["tau"] * f
+            else:
+                grp, i = _split(name)
+                cols[:, k] = (dphi_dy * partials[i][grp]).imag * _SCALE[grp]
+        blocks.append(cols)
+    return np.concatenate(blocks)
+
+
 def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
                    cfg: FitConfig) -> FitResult:
     """Simultaneous least-squares fit of the g- and e-state phase spectra.
 
-    Levenberg-Marquardt on circular residuals with a numerically
-    differentiated Jacobian; a Nelder-Mead restart kicks in if LM stalls.
-    With only one spectrum chi is unidentifiable and is silently frozen
-    (chi_reported = False).  Standard errors come from the residual Jacobian
-    at the solution.  Deterministic for identical inputs.
+    Levenberg-Marquardt on circular residuals with the analytic Jacobian
+    (_phase_jacobian); a Nelder-Mead restart kicks in if LM stalls, and LM
+    polishes its result.  With only one spectrum chi is unidentifiable and
+    is silently frozen (chi_reported = False).  Standard errors come from
+    the residual Jacobian at the solution.  Deterministic for identical
+    inputs.
     """
     net0 = cfg.initial
     fixed = set(cfg.fix)
@@ -205,7 +239,7 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
             raise ValidationError("the two spectra must overlap in frequency")
         spectra.append((spec_e, "e" * net0.n))
 
-    n_eval = 0
+    n_eval = n_jac = 0
 
     def residuals(x):
         nonlocal n_eval
@@ -217,6 +251,12 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
             parts.append(wrap_phase(model - spec.phase_rad))
         return np.concatenate(parts)
 
+    def jacobian(x):
+        nonlocal n_jac
+        n_jac += 1
+        net, _, _ = _unpack(x, net0, cfg.theta0, cfg.tau, free)
+        return _phase_jacobian(net, spectra, free)
+
     theta0_init, tau_init = cfg.theta0, cfg.tau
     if "theta0" not in fixed and "tau" not in fixed:
         # the delay direction of the circular cost is quasi-periodic in
@@ -224,15 +264,16 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
         theta0_init, tau_init = _prefit_delay(net0, spectra, cfg.theta0,
                                               cfg.tau)
     x0 = _pack(net0, theta0_init, tau_init, free)
-    res = least_squares(residuals, x0, method="lm", xtol=cfg.xtol,
-                        ftol=cfg.ftol, gtol=cfg.gtol, max_nfev=cfg.max_eval)
+    res = least_squares(residuals, x0, jac=jacobian, method="lm",
+                        xtol=cfg.xtol, ftol=cfg.ftol, gtol=cfg.gtol,
+                        max_nfev=cfg.max_eval)
     if not res.success or not np.isfinite(res.cost):
         # deterministic simplex restart, then polish with LM again
         nm = minimize(lambda x: 0.5 * np.sum(residuals(x) ** 2), res.x,
                       method="Nelder-Mead",
                       options={"maxiter": 4000, "xatol": 1e-10, "fatol": 1e-12})
-        res2 = least_squares(residuals, nm.x, method="lm", xtol=cfg.xtol,
-                             ftol=cfg.ftol, gtol=cfg.gtol,
+        res2 = least_squares(residuals, nm.x, jac=jacobian, method="lm",
+                             xtol=cfg.xtol, ftol=cfg.ftol, gtol=cfg.gtol,
                              max_nfev=cfg.max_eval)
         if res2.cost <= res.cost:
             res = res2
@@ -250,7 +291,8 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
     return FitResult(network=net_f, theta0=th_f, tau=ta_f, stderr=stderr,
                      residual_norm=float(np.sqrt(2.0 * res.cost)),
                      converged=bool(res.success and np.isfinite(res.cost)),
-                     chi_reported=chi_reported, n_eval=n_eval)
+                     chi_reported=chi_reported, n_eval=n_eval,
+                     n_jac=n_jac)
 
 
 def _standard_errors(res, free: list[str], n_ch: int) -> dict:
@@ -267,7 +309,6 @@ def _standard_errors(res, free: list[str], n_ch: int) -> dict:
         if name in ("theta0", "tau"):
             out[name] = float(s * _SCALE[name])
         else:
-            grp, i = name.rsplit("[", 1)
-            out.setdefault(grp, np.full(n_ch, np.nan))[int(i[:-1])] = \
-                s * _SCALE[grp]
+            grp, i = _split(name)
+            out.setdefault(grp, np.full(n_ch, np.nan))[i] = s * _SCALE[grp]
     return out

@@ -331,6 +331,97 @@ class TestCliCommands:
         assert capsys.readouterr().out.encode() == out.read_bytes()
 
 
+STARK_OK = "power_w,f_q_ac_hz\n0,8.0e9\n1e-15,7.9e9\n2e-15,7.8e9\n"
+SPEC_OK = "freq_hz,phase_rad\n10.0e9,0.1\n10.1e9,-0.25\n10.2e9,0.3\n"
+
+
+def _shots_csv(labels=("g", "e"), n=400, seed=0):
+    rng = np.random.default_rng(seed)
+    lines = ["label,i,q"]
+    for k in range(n):
+        lab = labels[k % 2]
+        i, q = rng.normal(size=2) + (4.0 * (k % 2), 0.0)
+        lines.append(f"{lab},{float(i)!r},{float(q)!r}")
+    return "\n".join(lines) + "\n"
+
+
+class TestCsvInputs:
+    """calibrate --stark, fit --spec-g/--spec-e and budget --shots files."""
+
+    @staticmethod
+    def _argv(command, path, device_path):
+        if command == "calibrate":
+            return ["calibrate", "--stark", str(path)]
+        if command == "fit":
+            return ["fit", "--device", str(device_path), "--spec-g",
+                    str(path)]
+        return ["budget", "--shots", str(path), "--tau-meas-ns", "56",
+                "--t1-us", "26"]
+
+    @pytest.mark.parametrize("command,text,detail", [
+        ("calibrate", STARK_OK.replace("7.8e9", "nan"),
+         "data row 3 has f_q_ac_hz = nan"),
+        ("calibrate", STARK_OK.replace("7.9e9", "abc"), "'abc'"),
+        ("calibrate", STARK_OK.replace("7.9e9", "inf"),
+         "data row 2 has f_q_ac_hz = inf"),
+        ("calibrate", "power_w\n0\n1e-15\n2e-15\n", "2 columns but 1"),
+        ("calibrate", "power_w,f_q_ac_hz\n", "no data rows"),
+        ("calibrate", STARK_OK + "3e-15\n", "2 columns but 1"),
+        ("fit", SPEC_OK.replace("-0.25", "x"), "'x'"),
+        ("fit", SPEC_OK.replace("10.1e9", "NaN"),
+         "data row 2 has freq_hz = nan"),
+        ("fit", "freq_hz,phase_rad,extra\n1e10,0,0\n2e10,0,0\n",
+         "2 columns but 3"),
+        ("budget", "label,i,q\ng,0,0\ne,1\n", "3 columns but 2"),
+        ("budget", "label,i,q\ng,0.5,oops\n", "'oops'"),
+    ], ids=["stark-nan", "stark-text", "stark-inf", "stark-one-column",
+            "stark-header-only", "stark-ragged", "spectrum-text",
+            "spectrum-nan", "spectrum-three-columns", "shots-ragged",
+            "shots-text"])
+    def test_bad_cell_exit_2_names_file_and_columns(
+            self, device_path, tmp_path, capsys, command, text, detail):
+        path = tmp_path / "in.csv"
+        path.write_text(text)
+        out = tmp_path / "out.json"
+        argv = self._argv(command, path, device_path) + ["--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        columns = {"calibrate": "power_w,f_q_ac_hz",
+                   "fit": "freq_hz,phase_rad", "budget": "label,i,q"}
+        assert str(path) in err and columns[command] in err
+        assert detail in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_unknown_shot_label_exit_2(self, tmp_path, capsys):
+        # the old per-shot rule counted 'x' as e and exited 0
+        path = tmp_path / "shots.csv"
+        path.write_text(_shots_csv(labels=("g", "x")))
+        out = tmp_path / "out.json"
+        assert run(self._argv("budget", path, None)
+                   + ["--out", str(out)]) == 2
+        assert "shot label 'x'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_good_files_read(self, tmp_path):
+        outs = []
+        for labels in (("g", "e"), ("0", "1")):
+            path = tmp_path / f"shots_{labels[0]}.csv"
+            path.write_text(_shots_csv(labels=labels))
+            outs.append(tmp_path / f"budget_{labels[0]}.json")
+            assert run(self._argv("budget", path, None)
+                       + ["--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert json.loads(outs[0].read_text())["snr"] == pytest.approx(
+            4.0, rel=0.15)
+        stark = tmp_path / "stark.csv"
+        stark.write_text(STARK_OK)
+        out = tmp_path / "stark.json"
+        assert run(["calibrate", "--stark", str(stark),
+                    "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["f_q_hz"] == pytest.approx(8.0e9)
+
+
 def _subparsers() -> dict:
     action = next(a for a in build_parser()._actions
                   if isinstance(a, argparse._SubParsersAction))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -292,6 +293,42 @@ class TestShotAnalysis:
         labels = np.array([0] * 99 + [1] * 51)
         with pytest.raises(ValidationError):
             shot_analysis(iq, labels)
+
+    @pytest.mark.parametrize("form", [
+        lambda lab: lab,
+        lambda lab: lab.astype(bool),
+        lambda lab: lab.astype(float),
+        lambda lab: lab.astype(str),
+        lambda lab: np.array(["g", "e"])[lab],
+        lambda lab: [("g", "e")[k] for k in lab],
+        lambda lab: np.array([(0, "e")[k] for k in lab], dtype=object),
+    ], ids=["int", "bool", "float", "str-digits", "str-ge", "list-ge",
+            "object-mixed"])
+    def test_label_forms_agree(self, form):
+        rng = np.random.default_rng(6)
+        iq, labels = self._blobs(rng, snr=4.0, n=4000)
+        ref = shot_analysis(iq, labels, n_train=2000)
+        ana = shot_analysis(iq, form(labels), n_train=2000)
+        assert np.array_equal(ana.labels, labels)
+        assert np.array_equal(ana.assigned, ref.assigned)
+
+    @pytest.mark.parametrize("bad,shown", [
+        (2, "2"), ("x", "'x'"), ("G", "'G'"), (0.5, "0.5"), (None, "None"),
+    ])
+    def test_unknown_label_named(self, bad, shown):
+        # the old per-shot rule str(l) in ("0", "g") counted these as e
+        rng = np.random.default_rng(7)
+        iq, labels = self._blobs(rng, snr=4.0, n=1000)
+        mixed = labels.astype(object)
+        mixed[[17, 400]] = bad
+        with pytest.raises(ValidationError, match=f"shot label {re.escape(shown)} "):
+            shot_analysis(iq, mixed)
+
+    def test_one_label_per_shot(self):
+        rng = np.random.default_rng(8)
+        iq, labels = self._blobs(rng, snr=4.0, n=1000)
+        with pytest.raises(ValidationError, match="one label per shot"):
+            shot_analysis(iq, labels.reshape(2, -1))
 
 
 class TestMatchedFilter:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 import notchlab.specfit
 from notchlab import (FitConfig, MuxNetwork, PhaseSpectrum, ReadoutChannel,
@@ -202,3 +203,179 @@ def test_n_eval_counts_every_model_evaluation(monkeypatch, max_eval):
     assert len(calls) == 2 * res.n_eval + 2
     if max_eval == 3:
         assert res.n_eval > 2 * max_eval  # the restart and polish count too
+
+
+def with_internal_loss(net, rng):
+    """Random nonzero internal linewidths on every channel (Hz)."""
+    return dataclasses.replace(net, channels=tuple(
+        dataclasses.replace(c, gamma_r=rng.uniform(0.2e6, 2e6),
+                            gamma_p=rng.uniform(0.2e6, 2e6))
+        for c in net.channels))
+
+
+def all_names(net, groups=notchlab.specfit._GROUPS):
+    names = [f"{grp}[{i}]" for grp in groups for i in range(net.n)]
+    return names + ["theta0", "tau"]
+
+
+def model_phases(x, net, spectra, free):
+    """Unwrapped model phase of every spectrum at scaled parameters x."""
+    net_x, th, ta = notchlab.specfit._unpack(x, net, 0.0, 0.0, free)
+    return np.concatenate([model_phase(net_x, joint, th, ta, spec.freq_hz)
+                           for spec, joint in spectra])
+
+
+def central_difference_jacobian(net, spectra, free, theta0, tau):
+    """Steps of 1 kHz on the channel parameters, 1e-3 on theta0 and tau/ns."""
+    sf = notchlab.specfit
+    x = sf._pack(net, theta0, tau, free)
+    cols = []
+    for k, name in enumerate(free):
+        h = 1e-3 if name in ("theta0", "tau") else \
+            1e3 / sf._SCALE[sf._split(name)[0]]
+        up, down = x.copy(), x.copy()
+        up[k] += h
+        down[k] -= h
+        cols.append((model_phases(up, net, spectra, free)
+                     - model_phases(down, net, spectra, free)) / (2 * h))
+    return np.column_stack(cols)
+
+
+def assert_columns_match(net, spectra, free, theta0, tau, rtol=1e-5):
+    jac = notchlab.specfit._phase_jacobian(net, spectra, free)
+    ref = central_difference_jacobian(net, spectra, free, theta0, tau)
+    assert np.all(np.isfinite(jac))
+    for k, name in enumerate(free):
+        scale = np.max(np.abs(ref[:, k]))
+        np.testing.assert_allclose(jac[:, k], ref[:, k], rtol=0,
+                                   atol=rtol * scale, err_msg=name)
+
+
+class TestAnalyticJacobian:
+    """_phase_jacobian against central differences of model_phase."""
+
+    @pytest.mark.parametrize("states", [("gggg",), ("eeee",), ("gegg",),
+                                        ("gggg", "eeee")],
+                             ids=lambda s: "+".join(s))
+    def test_every_group_at_random_in_basin_points(self, mux_net, states):
+        rng = np.random.default_rng(31)
+        grid = np.linspace(10.0e9, 10.9e9, 301)
+        spectra = [(PhaseSpectrum(grid, np.zeros_like(grid)), s)
+                   for s in states]
+        for _ in range(3):
+            net = with_internal_loss(perturbed_guess(mux_net, rng), rng)
+            assert_columns_match(net, spectra, all_names(net),
+                                 rng.uniform(-3, 3), rng.uniform(0, 1e-9))
+
+    def test_single_spectrum_fit_with_chi_frozen(self, mux_net):
+        rng = np.random.default_rng(37)
+        net = with_internal_loss(perturbed_guess(mux_net, rng), rng)
+        spectra = [(PhaseSpectrum(GRID, np.zeros_like(GRID)), "gggg")]
+        groups = tuple(g for g in notchlab.specfit._GROUPS if g != "chi")
+        assert_columns_match(net, spectra, all_names(net, groups), THETA0, TAU)
+
+    def test_bare_filter_with_a_point_on_the_readout_line(self, mux_net):
+        # j = 0 on channel 0, lossless: the grid hits f_r, where the full
+        # branch form is 0/0 and only the bare-filter limit is defined
+        lossy = with_internal_loss(mux_net, np.random.default_rng(41))
+        bare = dataclasses.replace(lossy.channels[0], j=0.0, gamma_r=0.0)
+        net = dataclasses.replace(lossy,
+                                  channels=(bare,) + lossy.channels[1:])
+        for state, f_r in (("gggg", bare.f_r_g),
+                           ("eggg", bare.f_r_g + 2 * bare.chi)):
+            grid = np.sort(np.append(np.linspace(10.0e9, 10.9e9, 300), f_r))
+            parts = notchlab.mux._branch_partials(bare, state[0], grid)
+            for grp in ("f_r_g", "chi", "j", "gamma_r"):
+                assert np.all(parts[grp] == 0), grp
+            spectra = [(PhaseSpectrum(grid, np.zeros_like(grid)), state)]
+            # j and gamma_r of the bare channel sit at their bound of 0
+            free = [n for n in all_names(net)
+                    if n not in ("j[0]", "gamma_r[0]")]
+            assert_columns_match(net, spectra, free, THETA0, TAU)
+
+
+def fd_fit_reflection(spec_g, spec_e, cfg):
+    """fit_reflection as it was with a finite-difference Jacobian.
+
+    The reference for the analytic Jacobian: the same prefit, packing and
+    LM settings, with least_squares differentiating the residual itself.
+    Only the LM pass is kept (the reference inputs never need the restart).
+    """
+    sf = notchlab.specfit
+    net0 = cfg.initial
+    free = all_names(net0, tuple(g for g in sf._GROUPS if g not in cfg.fix))
+    spectra = [(spec_g, "g" * net0.n), (spec_e, "e" * net0.n)]
+
+    def residuals(x):
+        net, th, ta = sf._unpack(x, net0, cfg.theta0, cfg.tau, free)
+        return np.concatenate([
+            wrap_phase(model_phase(net, joint, th, ta, spec.freq_hz)
+                       - spec.phase_rad) for spec, joint in spectra])
+
+    theta0, tau = sf._prefit_delay(net0, spectra, cfg.theta0, cfg.tau)
+    res = least_squares(residuals, sf._pack(net0, theta0, tau, free),
+                        method="lm", xtol=cfg.xtol, ftol=cfg.ftol,
+                        gtol=cfg.gtol, max_nfev=cfg.max_eval)
+    assert res.success
+    net, th, ta = sf._unpack(res.x, net0, cfg.theta0, cfg.tau, free)
+    return net, sf._standard_errors(res, free, net0.n), \
+        float(np.sqrt(2.0 * res.cost))
+
+
+def criterion_9_inputs(mux_net, seed):
+    """Noisy two-state spectra and initial guess as in acceptance criterion 9."""
+    rng = np.random.default_rng(2024 + seed)
+    spec_g = synth_spectrum(mux_net, "g", 0.7, 0.31e-9, GRID, 0.02, seed=seed)
+    spec_e = synth_spectrum(mux_net, "e", 0.7, 0.31e-9, GRID, 0.02,
+                            seed=100 + seed)
+    cfg = FitConfig(initial=perturbed_guess(mux_net, rng), theta0=0.5,
+                    tau=0.25e-9)
+    return spec_g, spec_e, cfg
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fit_matches_finite_difference_reference(mux_net, seed):
+    spec_g, spec_e, cfg = criterion_9_inputs(mux_net, seed)
+    res = fit_reflection(spec_g, spec_e, cfg)
+    net_fd, stderr_fd, norm_fd = fd_fit_reflection(spec_g, spec_e, cfg)
+    assert res.converged
+    for fit, ref in zip(res.network.channels, net_fd.channels):
+        assert abs(fit.chi - ref.chi) <= 1e3
+    for key, ref in stderr_fd.items():
+        assert res.stderr[key] == pytest.approx(ref, rel=1e-4), key
+    assert res.residual_norm == pytest.approx(norm_fd, rel=1e-9)
+
+
+def test_analytic_jacobian_keeps_model_evaluations_few(mux_net):
+    # about 130 with a finite-difference Jacobian over 22 parameters
+    spec_g, spec_e, cfg = criterion_9_inputs(mux_net, 0)
+    res = fit_reflection(spec_g, spec_e, cfg)
+    assert res.converged
+    assert res.n_eval <= 20
+    assert 1 <= res.n_jac <= res.n_eval + 1
+
+
+@pytest.mark.parametrize("max_eval", [20000, 3],
+                         ids=["lm", "lm-stalls-simplex-polish"])
+def test_n_jac_counts_every_jacobian_evaluation(monkeypatch, max_eval):
+    ch = ReadoutChannel(name="Q", f_r_g=10386e6, chi=-9.9e6, f_p=10407e6,
+                        j=39.4e6, kappa_p=81.4e6)
+    net = MuxNetwork(channels=(ch,), shunt=PAPER_SHUNT)
+    grid = np.linspace(10.2e9, 10.6e9, 201)
+    spec_g = synth_spectrum(net, "g", THETA0, TAU, grid, 0.01, seed=1)
+    spec_e = synth_spectrum(net, "e", THETA0, TAU, grid, 0.01, seed=2)
+    guess = dataclasses.replace(net, channels=(
+        dataclasses.replace(ch, f_r_g=ch.f_r_g + 1e6, j=ch.j + 0.5e6),))
+    calls = []
+    inner = notchlab.specfit._phase_jacobian
+
+    def counted(*args):
+        calls.append(args[0])
+        return inner(*args)
+
+    monkeypatch.setattr(notchlab.specfit, "_phase_jacobian", counted)
+    res = fit_reflection(spec_g, spec_e, FitConfig(
+        initial=guess, theta0=0.6, tau=0.25e-9, max_eval=max_eval))
+    assert res.n_jac == len(calls) >= 1
+    if max_eval == 3:
+        assert res.n_jac > max_eval  # the polish counts too
