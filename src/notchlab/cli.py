@@ -11,6 +11,7 @@ every flag a subcommand accepts is read by it.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -126,15 +127,11 @@ def _parse_pulse(spec: str) -> mux.DrivePulse:
         raise ValidationError(f"malformed pulse description: {exc}")
 
 
-def _trace_rows(tr: mux.FieldTraces):
-    n = tr.p.shape[0]
-    for k in range(tr.t.size):
-        row = [float(tr.t[k])]
-        for j in range(n):
-            row += [tr.p[j, k].real, tr.p[j, k].imag,
-                    tr.r[j, k].real, tr.r[j, k].imag]
-        row += [tr.s_out[k].real, tr.s_out[k].imag]
-        yield row
+def _trace_rows(tr: mux.FieldTraces) -> list:
+    cols = [tr.t]
+    for p, r in zip(tr.p, tr.r):
+        cols += [p.real, p.imag, r.real, r.imag]
+    return np.column_stack(cols + [tr.s_out.real, tr.s_out.imag]).tolist()
 
 
 def _trace_header(net: mux.MuxNetwork) -> list[str]:
@@ -160,8 +157,8 @@ def _cmd_separation(args) -> int:
     pulse = _parse_pulse(args.pulse)
     res = mux.separation(net, args.pair, pulse, args.dt_ns * 1e-9)
     if args.out:
-        rows = [(float(t), float(s)) for t, s in zip(res.t, res.s)]
-        write_csv(args.out, ["time_s", "separation"], rows)
+        write_csv(args.out, ["time_s", "separation"],
+                  np.column_stack([res.t, res.s]).tolist())
     print(f"S_ss = {res.s_ss:.9g}")
     print(f"Gamma_m = {res.gamma_m:.9g} 1/s")
     return 0
@@ -172,10 +169,7 @@ def _cmd_purcell(args) -> int:
     geom = dev.pair(args.pair)
     if not geom.is_mtl:
         raise ValidationError("purcell sweep expects an MTL pair")
-    ch = None
-    for c in dev.channels:
-        if c.name == args.pair:
-            ch = c
+    ch = {c.name: c for c in dev.channels}.get(args.pair)
     qi = dev.qubits.get(args.pair)
     pair, twin = purcell.mtl_pair_and_twin(geom)
     f_bar = 0.5 * (geom.f_r + geom.f_p)
@@ -258,11 +252,8 @@ def _cmd_fit(args) -> int:
     payload = {
         "channels": [{
             "name": c.name,
-            "f_r_g_mhz": c.f_r_g / _MHZ,
-            "chi_mhz": c.chi / _MHZ,
-            "f_p_mhz": c.f_p / _MHZ,
-            "j_mhz": c.j / _MHZ,
-            "kappa_p_mhz": c.kappa_p / _MHZ,
+            **{f"{k}_mhz": getattr(c, k) / _MHZ
+               for k in ("f_r_g", "chi", "f_p", "j", "kappa_p")},
         } for c in result.network.channels],
         "theta0_rad": result.theta0,
         "tau_s": result.tau,
@@ -296,15 +287,8 @@ def _cmd_budget(args) -> int:
     budget = metrics.error_budget(snr, args.tau_meas_ns * 1e-9,
                                   args.tau_buffer_ns * 1e-9,
                                   args.t1_us * 1e-6, counts)
-    payload = {
-        "snr": budget.snr,
-        "eps_sep": budget.eps_sep,
-        "eps_cl": budget.eps_cl,
-        "eps_cl_q": budget.eps_cl_q,
-        "f": budget.f,
-        "f_q": budget.f_q,
-    }
-    write_json(args.out, payload)
+    # snr, eps_sep, eps_cl, eps_cl_q, f, f_q: every field, in field order
+    write_json(args.out, dataclasses.asdict(budget))
     return 0
 
 

@@ -22,6 +22,13 @@ from .purcell import ShuntLC
 _MHZ = 1e6
 _UM = 1e-6
 
+# ReadoutChannel fields, stored in the file as <field>_mhz
+_CHANNEL_FIELDS = ("f_r_g", "chi", "f_p", "j", "kappa_p", "gamma_r", "gamma_p")
+# CoupledPairGeometry segment lengths, stored in the file as <field>_um
+_SEGMENT_FIELDS = ("l_r_open", "l_r_short", "l_p_open", "l_p_short")
+# QubitInfo frequencies, stored in the file as <field>_mhz
+_QUBIT_FIELDS = ("f_q", "alpha", "g")
+
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
 
@@ -218,24 +225,14 @@ def device_from_dict(raw: dict) -> Device:
         if g["name"] in geometry:
             raise ValidationError(f"duplicate geometry name {g['name']!r}")
         geometry[g["name"]] = CoupledPairGeometry(
-            l_r_open=g["l_r_open_um"] * _UM,
-            l_r_short=g["l_r_short_um"] * _UM,
-            l_p_open=g["l_p_open_um"] * _UM,
-            l_p_short=g["l_p_short_um"] * _UM,
+            **{k: g[f"{k}_um"] * _UM for k in _SEGMENT_FIELDS},
             coupler=_coupler_from_json(g["coupler"]),
             line=line,
         )
+    # the schema requires every channel field but the internal linewidths
     channels = tuple(
-        ReadoutChannel(
-            name=c["name"],
-            f_r_g=c["f_r_g_mhz"] * _MHZ,
-            chi=c["chi_mhz"] * _MHZ,
-            f_p=c["f_p_mhz"] * _MHZ,
-            j=c["j_mhz"] * _MHZ,
-            kappa_p=c["kappa_p_mhz"] * _MHZ,
-            gamma_r=c.get("gamma_r_mhz", 0.0) * _MHZ,
-            gamma_p=c.get("gamma_p_mhz", 0.0) * _MHZ,
-        )
+        ReadoutChannel(name=c["name"], **{k: c.get(f"{k}_mhz", 0.0) * _MHZ
+                                          for k in _CHANNEL_FIELDS})
         for c in raw["channels"]
     )
     qubits = {}
@@ -243,9 +240,7 @@ def device_from_dict(raw: dict) -> Device:
         if q["name"] in qubits:
             raise ValidationError(f"duplicate qubit name {q['name']!r}")
         qubits[q["name"]] = QubitInfo(
-            f_q=q["f_q_mhz"] * _MHZ,
-            g=q["g_mhz"] * _MHZ,
-            alpha=q["alpha_mhz"] * _MHZ,
+            **{k: q[f"{k}_mhz"] * _MHZ for k in _QUBIT_FIELDS},
             c_q=q.get("c_q_f"),
         )
     return Device(line=line, z0_line=z0_line, shunt=shunt, geometry=geometry,
@@ -280,27 +275,17 @@ def device_to_dict(dev: Device) -> dict:
             cp = {"type": "capacitive", "c_j_f": g.c_j}
         geometry.append({
             "name": name,
-            "l_r_open_um": g.l_r_open / _UM,
-            "l_r_short_um": g.l_r_short / _UM,
-            "l_p_open_um": g.l_p_open / _UM,
-            "l_p_short_um": g.l_p_short / _UM,
+            **{f"{k}_um": getattr(g, k) / _UM for k in _SEGMENT_FIELDS},
             "coupler": cp,
         })
     channels = [{
         "name": c.name,
-        "f_r_g_mhz": c.f_r_g / _MHZ,
-        "chi_mhz": c.chi / _MHZ,
-        "f_p_mhz": c.f_p / _MHZ,
-        "j_mhz": c.j / _MHZ,
-        "kappa_p_mhz": c.kappa_p / _MHZ,
-        "gamma_r_mhz": c.gamma_r / _MHZ,
-        "gamma_p_mhz": c.gamma_p / _MHZ,
+        **{f"{k}_mhz": getattr(c, k) / _MHZ for k in _CHANNEL_FIELDS},
     } for c in dev.channels]
     qubits = [{
         "name": name,
-        "f_q_mhz": q.f_q / _MHZ,
-        "alpha_mhz": (q.alpha or 0.0) / _MHZ,
-        "g_mhz": q.g / _MHZ,
+        # a QubitInfo built in code may leave alpha None
+        **{f"{k}_mhz": (getattr(q, k) or 0.0) / _MHZ for k in _QUBIT_FIELDS},
         **({"c_q_f": q.c_q} if q.c_q is not None else {}),
     } for name, q in dev.qubits.items()]
     return {

@@ -149,11 +149,9 @@ def j_capacitive(geom: CoupledPairGeometry, c_j: float) -> float:
     """
     if geom.is_mtl:
         raise ValidationError("j_capacitive requires a capacitive geometry")
-    v = geom.line.v
     w_r = TWO_PI * geom.f_r
     w_p = TWO_PI * geom.f_p
-    j_ang = (2.0 / math.pi) * geom.line.z0 * w_r * w_p * c_j \
-        * math.sin(w_r * geom.l_r_short / v) * math.sin(w_p * geom.l_p_short / v)
+    j_ang = (2.0 / math.pi) * geom.line.z0 * w_r * w_p * equivalent_cap(c_j, geom)
     return j_ang / TWO_PI
 
 
@@ -169,6 +167,8 @@ def notch_branch(geom: CoupledPairGeometry) -> NotchLC:
     r = geom.coupler.cm_over_c
     if r == 0:
         raise UnboundedCouplerError("cm_over_c = 0 gives an unbounded Z_n")
+    if geom.len_c == 0:
+        raise UnboundedCouplerError("coupler length 0 gives an unbounded Z_n")
     line = geom.line
     w_r = TWO_PI * geom.f_r
     w_p = TWO_PI * geom.f_p

@@ -76,17 +76,13 @@ def _json_dumps(obj, indent: int = 0) -> str:
         return "[\n" + items + "\n" + pad + "]"
     if obj is None:
         return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            # JSON has no inf/nan literals; emit as strings
-            return f'"{format_float(obj)}"'
-        return format_float(obj)
     if isinstance(obj, str):
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(obj, float) and not math.isfinite(obj):
+        # JSON has no inf/nan literals; emit as strings
+        return f'"{format_float(obj)}"'
+    if isinstance(obj, (bool, int, float)):
+        return _format_cell(obj)
     raise ValidationError(f"cannot serialize {type(obj).__name__} to JSON")
 
 

@@ -19,7 +19,7 @@ from scipy.special import erf
 
 from .errors import ValidationError
 from .mtl import TWO_PI
-from .mux import MuxNetwork, gamma_filter, gamma_incident
+from .mux import MuxNetwork, steady_state
 
 
 # ---------------------------------------------------------------- calibration
@@ -44,34 +44,19 @@ def incident_from_resonator(net: MuxNetwork, channel: str, f_d: float,
                             state: str | None = None) -> tuple[complex, float]:
     """Incident field and power that sustain a readout amplitude r_target.
 
-    Inverts the steady-state equations of motion channel by channel: the
-    readout amplitude fixes the filter amplitude, the filter equation gives
-    the field incident on the filter, and the node relation
-    s_in/p_in = (1 + Gamma_p)/(1 + Gamma_incident) scales it back to the
-    device input.  Returns (s_in in sqrt(photons/s), power in W).
+    The network is linear, so the drive is r_target over the readout
+    amplitude that steady_state gives for a unit drive at f_d.  Returns
+    (s_in in sqrt(photons/s), power in W).
     """
     if not f_d > 0:
         raise ValidationError("drive frequency must be > 0")
     state = "g" * net.n if state is None else state
     idx = net.index(channel)
-    ch = net.channels[idx]
-    if ch.j == 0:
+    if net.channels[idx].j == 0:
         raise ValidationError("channel has J = 0; readout mode cannot be driven")
     if r_target == 0:
         return 0.0 + 0.0j, 0.0
-    d_r = TWO_PI * (ch.f_r(state[idx]) - f_d)
-    d_p = TWO_PI * (ch.f_p - f_d)
-    kap = TWO_PI * ch.kappa_p
-    g_r = TWO_PI * ch.gamma_r
-    g_p = TWO_PI * ch.gamma_p
-    j = TWO_PI * ch.j
-    # dr/dt = 0: (i d_r - g_r/2) r + i j p = 0
-    p = -(1j * d_r - 0.5 * g_r) * r_target / (1j * j)
-    # dp/dt = 0: (i d_p - (kap+g_p)/2) p + i j r + sqrt(kap) p_in = 0
-    p_in = -((1j * d_p - 0.5 * (kap + g_p)) * p + 1j * j * r_target) / math.sqrt(kap)
-    g_pj = gamma_filter(ch, state[idx], f_d)
-    g_inc = gamma_incident(net, state, f_d)
-    s_in = p_in * (1.0 + g_pj) / (1.0 + g_inc)
+    s_in = r_target / steady_state(net, state, f_d)[net.n + idx]
     power = hbar * TWO_PI * f_d * abs(s_in) ** 2
     return s_in, power
 

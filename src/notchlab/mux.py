@@ -132,31 +132,40 @@ def shunt_reflection(shunt: ShuntLC, z0: float, f) -> complex:
     return _scalar_or_array((1.0 - z0 * y) / (1.0 + z0 * y), scalar)
 
 
-def _branch_admittance(ch: ReadoutChannel, state: str, f):
-    """Normalized load admittance (1 - Gamma_p)/(1 + Gamma_p) of one branch.
+def _branch_terms(ch: ReadoutChannel, state: str, f):
+    """Angular-unit terms (kap, a, w, j4) of one branch at frequencies f.
 
-    Engineering-convention form of the input-output reflection: with
-    w = gamma_r - 2i Delta_r, u = kappa_p w / ((gamma_p - 2i Delta_p) w + 4 J^2).
-    Returns (u, pole_mask); pole_mask marks exact Gamma_p = -1 points.
+    a = gamma_p - 2i Delta_p, w = gamma_r - 2i Delta_r and j4 = 4 J^2; a J
+    whose square overflows raises NumericalError.
     """
     f = np.asarray(f, dtype=float)
     d_r = TWO_PI * (ch.f_r(state) - f)
     d_p = TWO_PI * (ch.f_p - f)
-    kap = TWO_PI * ch.kappa_p
-    g_r = TWO_PI * ch.gamma_r
-    g_p = TWO_PI * ch.gamma_p
-    j4 = 4.0 * (TWO_PI * ch.j) ** 2
-    wfac = g_r - 2j * d_r
-    den = (g_p - 2j * d_p) * wfac + j4
+    try:
+        j4 = 4.0 * (TWO_PI * ch.j) ** 2
+    except OverflowError:
+        raise NumericalError(f"channel {ch.name!r}: 4 J^2 overflows at "
+                             f"J = {ch.j:.6g} Hz") from None
+    return (TWO_PI * ch.kappa_p, TWO_PI * ch.gamma_p - 2j * d_p,
+            TWO_PI * ch.gamma_r - 2j * d_r, j4)
+
+
+def _branch_admittance(ch: ReadoutChannel, state: str, f):
+    """Normalized load admittance (1 - Gamma_p)/(1 + Gamma_p) of one branch.
+
+    Engineering-convention form of the input-output reflection:
+    u = kappa_p w / (a w + 4 J^2) in the terms of _branch_terms.
+    Returns (u, pole_mask); pole_mask marks exact Gamma_p = -1 points.
+    """
+    kap, a, wfac, j4 = _branch_terms(ch, state, f)
+    den = a * wfac + j4
     pole = den == 0.0
     safe_den = np.where(pole, 1.0, den)
     u = kap * wfac / safe_den
     if j4 == 0.0:
         # readout factor cancels; bare-filter admittance (removes 0/0 at w=0)
-        bare_den = g_p - 2j * d_p
-        bare_pole = bare_den == 0.0
-        u = kap / np.where(bare_pole, 1.0, bare_den)
-        pole = bare_pole
+        pole = a == 0.0
+        u = kap / np.where(pole, 1.0, a)
     u = np.where(pole, np.inf + 0j, u)
     return u, pole
 
@@ -172,19 +181,13 @@ def _branch_partials(ch: ReadoutChannel, state: str, f) -> dict:
     so there is no 0/0 at w = 0.  Values at pole points (den = 0) are
     placeholders: gamma_incident rejects those frequencies.
     """
-    f = np.asarray(f, dtype=float)
-    d_r = TWO_PI * (ch.f_r(state) - f)
-    d_p = TWO_PI * (ch.f_p - f)
-    kap = TWO_PI * ch.kappa_p
-    j4 = 4.0 * (TWO_PI * ch.j) ** 2
-    a = TWO_PI * ch.gamma_p - 2j * d_p
+    kap, a, wfac, j4 = _branch_terms(ch, state, f)
     if j4 == 0.0:
         inv = 1.0 / np.where(a == 0.0, 1.0, a)
         du_dkap = inv
         du_da = -kap * inv * inv
         du_dw = du_dj = np.zeros_like(a)
     else:
-        wfac = TWO_PI * ch.gamma_r - 2j * d_r
         den = a * wfac + j4
         inv = 1.0 / np.where(den == 0.0, 1.0, den)
         du_dkap = wfac * inv
@@ -235,14 +238,20 @@ def gamma_incident(net: MuxNetwork, state: str, f_d) -> complex:
     Branch and shunt loads combine as parallel admittances:
     (1 - G)/(1 + G) = z0/Z_shunt + sum_j (1 - G_pj)/(1 + G_pj).
     A branch sitting exactly at Gamma_p = -1 makes the sum diverge and is
-    reported as CompositionPoleError.
+    reported as CompositionPoleError; a result that is not finite (parameters
+    beyond the float range) as NumericalError.
     """
     state = validate_state(net, state)
     f, scalar = _freq_array(f_d)
-    total = _total_admittance(net, state, f)
-    if np.any(np.abs(1.0 + total) == 0.0):
-        raise CompositionPoleError("total admittance sum hit -1 exactly")
-    return _scalar_or_array((1.0 - total) / (1.0 + total), scalar)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _total_admittance(net, state, f)
+        if np.any(np.abs(1.0 + total) == 0.0):
+            raise CompositionPoleError("total admittance sum hit -1 exactly")
+        gam = (1.0 - total) / (1.0 + total)
+    if not np.all(np.isfinite(gam)):
+        raise NumericalError("reflection coefficient is not finite; a "
+                             "parameter overflows the float range")
+    return _scalar_or_array(gam, scalar)
 
 
 def system_matrix(net: MuxNetwork, state: str, f_d: float,
@@ -535,50 +544,57 @@ def _channel_weights(net: MuxNetwork, vec: np.ndarray) -> np.ndarray:
     return w.T  # (mode, channel)
 
 
-def _assign_channels(net: MuxNetwork, weights: np.ndarray) -> list[int]:
+def _greedy_match(score: np.ndarray, cap: int) -> np.ndarray:
+    """Greedy assignment of rows to columns by descending score.
+
+    Each row takes at most one column and each column at most cap rows;
+    equal scores go to the lower (row, column) first.  Returns the column of
+    each row (an integer array), -1 where none is left.
+    """
+    n_cols = score.shape[1]
+    match = [-1] * score.shape[0]
+    left = [cap] * n_cols
+    # a stable sort of the row-major flat index keeps (row, column) tie order
+    for flat in np.argsort(-score, axis=None, kind="stable").tolist():
+        i, j = divmod(flat, n_cols)
+        if match[i] < 0 and left[j] > 0:
+            match[i] = j
+            left[j] -= 1
+    return np.array(match)
+
+
+def _assign_channels(weights: np.ndarray) -> np.ndarray:
     """Greedy capacity-2 assignment of modes to channels by descending weight."""
-    n_modes = weights.shape[0]
-    order = sorted(
-        ((float(weights[k, j]), k, j) for k in range(n_modes)
-         for j in range(net.n)),
-        key=lambda t: (-t[0], t[1], t[2]))
-    cap = {j: 2 for j in range(net.n)}
-    assigned: dict[int, int] = {}
-    for wt, k, j in order:
-        if k in assigned or cap[j] == 0:
-            continue
-        assigned[k] = j
-        cap[j] -= 1
-    for k in range(n_modes):
-        best = int(np.argmax(weights[k]))
-        if assigned[k] != best:
-            warnings.warn(
-                f"ambiguous mode-to-channel assignment for mode {k}: weights "
-                f"{np.round(weights[k], 6).tolist()}", stacklevel=3)
-    return [assigned[k] for k in range(n_modes)]
-
-
-def _match_modes(vec_a: np.ndarray, vec_b: np.ndarray) -> list[int]:
-    """Match columns of vec_a to columns of vec_b by eigenvector overlap."""
-    n = vec_a.shape[1]
-    ov = np.abs(vec_a.conj().T @ vec_b)  # (a, b)
-    order = sorted(((float(ov[i, j]), i, j) for i in range(n) for j in range(n)),
-                   key=lambda t: (-t[0], t[1], t[2]))
-    used_a: set[int] = set()
-    used_b: set[int] = set()
-    match = [-1] * n
-    for _, i, j in order:
-        if i in used_a or j in used_b:
-            continue
-        match[i] = j
-        used_a.add(i)
-        used_b.add(j)
-    return match
+    assigned = _greedy_match(weights, 2)
+    for k in np.flatnonzero(assigned != np.argmax(weights, axis=1)).tolist():
+        warnings.warn(
+            f"ambiguous mode-to-channel assignment for mode {k}: weights "
+            f"{np.round(weights[k], 6).tolist()}", stacklevel=4)
+    return assigned
 
 
 def _flip(state: str, idx: int) -> str:
     flipped = "e" if state[idx] == "g" else "g"
     return state[:idx] + flipped + state[idx + 1:]
+
+
+def _owned_modes(net: MuxNetwork, state: str, flips):
+    """Modes of `state`: (lam, channel weights, owner, flip shift).
+
+    For each channel j in flips, shift[k] of a mode k that j owns is the
+    signed change of Re lambda (rad/s) of its overlap-matched mode when
+    qubit j flips; the other modes keep 0.
+    """
+    lam, vec = _eigensolve(net, state)
+    weights = _channel_weights(net, vec)
+    owner = _assign_channels(weights)
+    shift = np.zeros(lam.size)
+    for j in flips:
+        lam_f, vec_f = _eigensolve(net, _flip(state, j))
+        match = _greedy_match(np.abs(vec.conj().T @ vec_f), 1)
+        mine = owner == j
+        shift[mine] = lam_f.real[match[mine]] - lam.real[mine]
+    return lam, weights, owner, shift
 
 
 def normal_modes(net: MuxNetwork, state: str) -> list[NormalMode]:
@@ -590,28 +606,16 @@ def normal_modes(net: MuxNetwork, state: str) -> list[NormalMode]:
     channel with chi = 0 the smaller external linewidth decides instead.
     """
     state = validate_state(net, state)
-    lam, vec = _eigensolve(net, state)
-    weights = _channel_weights(net, vec)
-    owner = _assign_channels(net, weights)
-
-    shifts = np.zeros(lam.size)
-    for j, ch in enumerate(net.channels):
-        members = [k for k in range(lam.size) if owner[k] == j]
-        if ch.chi == 0.0:
-            continue
-        lam_f, vec_f = _eigensolve(net, _flip(state, j))
-        match = _match_modes(vec, vec_f)
-        for k in members:
-            shifts[k] = abs(lam[k].real - lam_f[match[k]].real)
-
+    lam, weights, owner, shift = _owned_modes(
+        net, state, [j for j, ch in enumerate(net.channels) if ch.chi != 0.0])
     modes: list[NormalMode] = []
     for j, ch in enumerate(net.channels):
-        members = sorted(k for k in range(lam.size) if owner[k] == j)
+        members = np.flatnonzero(owner == j).tolist()
         if ch.chi == 0.0:
             # smaller external linewidth marks the readout-like mode
             members.sort(key=lambda k: lam[k].imag)
         else:
-            members.sort(key=lambda k: -shifts[k])
+            members.sort(key=lambda k: -abs(shift[k]))
         for rank, k in enumerate(members):
             modes.append(NormalMode(
                 channel=ch.name,
@@ -630,17 +634,10 @@ def mode_dispersive_shifts(net: MuxNetwork, target: str) -> tuple[float, float]:
     qubit flips from g to e, all other qubits staying in g.
     """
     idx = net.index(target)
-    state_g = "g" * net.n
-    lam_g, vec_g = _eigensolve(net, state_g)
-    lam_e, vec_e = _eigensolve(net, _flip(state_g, idx))
-    weights = _channel_weights(net, vec_g)
-    owner = _assign_channels(net, weights)
-    match = _match_modes(vec_g, vec_e)
-    members = [k for k in range(lam_g.size) if owner[k] == idx]
-    shifts = {k: (lam_e[match[k]].real - lam_g[k].real) / 2.0 / TWO_PI
-              for k in members}
-    members.sort(key=lambda k: -abs(shifts[k]))
-    return shifts[members[0]], shifts[members[1]]
+    _, _, owner, shift = _owned_modes(net, "g" * net.n, [idx])
+    chi = shift[owner == idx] / 2.0 / TWO_PI
+    chi_r, chi_p = chi[np.argsort(-np.abs(chi), kind="stable")]
+    return chi_r, chi_p
 
 
 @dataclass(frozen=True)
@@ -676,11 +673,8 @@ def separation(net: MuxNetwork, target: str, pulse: DrivePulse,
     root_k = math.sqrt(TWO_PI * net.channels[idx].kappa_p)
     s_single = abs(0.5 * (1.0 + gs)) * root_k * np.abs(tr_e.p[idx] - tr_g.p[idx])
     # plateau amplitude: the last segment that actually drives the network
-    amp_ss = 0.0 + 0.0j
-    for seg in reversed(pulse.segments):
-        if abs(seg.amplitude) > 0:
-            amp_ss = seg.amplitude
-            break
+    amp_ss = next((seg.amplitude for seg in reversed(pulse.segments)
+                   if abs(seg.amplitude) > 0), 0.0)
     g_g = gamma_incident(net, state_g, pulse.f_d)
     g_e = gamma_incident(net, state_e, pulse.f_d)
     s_ss = abs(amp_ss) * abs(g_e - g_g)

@@ -19,7 +19,7 @@ from scipy.optimize import brentq
 from .equiv import (EquivCap, LumpedPair, LumpedResonator, NotchLC,
                     _lc_admittance, equivalent_pair, j_mtl, map_resonator,
                     two_port_z)
-from .errors import ValidationError
+from .errors import BracketError, ValidationError
 from .mtl import (TWO_PI, CoupledPairGeometry, _freq_array, _scalar_or_array,
                   z21_auto)
 
@@ -198,7 +198,8 @@ def notch_from_xi(xi: float, f_q: float, f_rp_bar: float) -> float:
     """Invert the enhancement factor for the notch frequency below f_q.
 
     Used to reconstruct per-qubit circuits when only the predicted
-    enhancement is known.
+    enhancement is known.  BracketError when no notch in [0.3 f_q, f_q)
+    reaches xi.
     """
     if not xi > 1.0:
         raise ValidationError("xi must exceed 1")
@@ -208,7 +209,11 @@ def notch_from_xi(xi: float, f_q: float, f_rp_bar: float) -> float:
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return brentq(fun, 0.3 * f_q, f_q * (1.0 - 1e-12), xtol=1.0)
+        try:
+            return brentq(fun, 0.3 * f_q, f_q * (1.0 - 1e-12), xtol=1.0)
+        except ValueError as exc:  # no sign change over the bracket
+            raise BracketError(f"no notch below f_q = {f_q:.6g} Hz gives "
+                               f"xi = {xi:.6g}: {exc}") from None
 
 
 def c_qr_from_g(g_hz: float, f_q: float, f_r: float, c_q: float,

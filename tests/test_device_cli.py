@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -329,6 +330,50 @@ class TestCliCommands:
         capsys.readouterr()
         assert run(argv) == 0
         assert capsys.readouterr().out.encode() == out.read_bytes()
+
+
+class TestNumericalFailuresExit3:
+    """Device values whose results overflow or whose coupler degenerates.
+
+    Each exits 3 with a message on stderr: no traceback, no warning and no
+    --out file.
+    """
+
+    PULSE = json.dumps({"carrier_mhz": 10224.0, "two_step": {
+        "plateau_amplitude": 1e6, "plateau_duration_ns": 50}})
+    FLAGS = {
+        "reflect": ["--fmin", "10.0e9", "--fmax", "10.9e9", "--points", "11"],
+        "separation": ["--pair", "Q1", "--pulse", PULSE],
+        "purcell": ["--pair", "Q1", "--fmin", "7.8e9", "--fmax", "8.8e9",
+                    "--points", "11"],
+    }
+
+    @pytest.mark.parametrize("command,key,value,message", [
+        ("reflect", "j_mhz", 1e300, "4 J^2 overflows"),
+        ("separation", "j_mhz", 1e300, "4 J^2 overflows"),
+        ("reflect", "f_r_g_mhz", 1e300, "reflection coefficient is not finite"),
+        ("purcell", "len_um", 0, "coupler length 0"),
+    ], ids=["reflect-j", "separation-j", "reflect-f_r_g", "purcell-len_c"])
+    def test_exit_3_with_message(self, tmp_path, capsys, command, key, value,
+                                 message):
+        raw = json.loads(paper_device_path().read_text())
+        if key == "len_um":
+            q1 = next(g for g in raw["geometry"] if g["name"] == "Q1")
+            q1["coupler"][key] = value
+        else:
+            raw["channels"][0][key] = value
+        dev = tmp_path / "dev.json"
+        dev.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        argv = [command, "--device", str(dev), *self.FLAGS[command],
+                "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and message in err
+        assert "Traceback" not in err and caught == []
+        assert not out.exists()
 
 
 STARK_OK = "power_w,f_q_ac_hz\n0,8.0e9\n1e-15,7.9e9\n2e-15,7.8e9\n"

@@ -1,0 +1,54 @@
+"""Golden CLI output bytes, checked in the unit suite.
+
+Runs every menu entry of the benchmark workloads (perfbench/workloads.py)
+through cli.run in-process and compares the sha256 of each output file with
+perfbench/golden.json, so a byte change shows up here and not only in a
+benchmark run.  Both files are only read.
+"""
+
+import contextlib
+import importlib.util
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import notchlab.cli as cli
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", PERFBENCH / "workloads.py")
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses resolves the module by name
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:  # leave no __pycache__ behind in perfbench/
+        spec.loader.exec_module(mod)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return mod
+
+
+WORKLOADS = _load_workloads()
+GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
+ENTRIES = [(f"{workload}/{cmd}/{k}", entry)
+           for workload, menu in WORKLOADS.MENUS.items()
+           for cmd, entries in menu.items()
+           for k, entry in enumerate(entries)]
+
+
+def test_every_golden_key_has_a_menu_entry():
+    assert sorted(key for key, _ in ENTRIES) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("key,entry", ENTRIES, ids=[k for k, _ in ENTRIES])
+def test_output_bytes_match_golden(key, entry, tmp_path):
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.run(WORKLOADS.cli_argv(entry, out))
+    assert code == 0
+    assert WORKLOADS.sha256(out) == GOLDEN[key]

@@ -7,10 +7,10 @@ from scipy.constants import hbar
 
 from notchlab import (QubitCoupling, ReadoutCounts, ValidationError,
                       coherence_limits, error_budget, fidelities,
-                      incident_from_resonator, photons_from_stark,
-                      rabi_to_omega, separation_error, shot_analysis,
-                      stark_linear_fit, steady_state, t1_from_drive,
-                      wilson_interval)
+                      gamma_filter, gamma_incident, incident_from_resonator,
+                      photons_from_stark, rabi_to_omega, separation_error,
+                      shot_analysis, stark_linear_fit, steady_state,
+                      t1_from_drive, wilson_interval)
 from notchlab.metrics import sigma_ellipse_radius
 
 TWO_PI = 2 * math.pi
@@ -65,6 +65,44 @@ class TestIncidentFromResonator:
         _, p1 = incident_from_resonator(mux_net, "Q2", f_d, 1.0)
         _, p2 = incident_from_resonator(mux_net, "Q2", f_d, 2.0)
         assert p2 == pytest.approx(4 * p1, rel=1e-9)
+
+
+def incident_by_hand(net, channel, f_d, r_target, state):
+    """The hand inversion incident_from_resonator used before steady_state.
+
+    Readout amplitude -> filter amplitude -> field incident on the filter,
+    scaled to the device input by (1 + Gamma_p)/(1 + Gamma_incident).
+    """
+    idx = net.index(channel)
+    ch = net.channels[idx]
+    d_r = TWO_PI * (ch.f_r(state[idx]) - f_d)
+    d_p = TWO_PI * (ch.f_p - f_d)
+    kap = TWO_PI * ch.kappa_p
+    g_r = TWO_PI * ch.gamma_r
+    g_p = TWO_PI * ch.gamma_p
+    j = TWO_PI * ch.j
+    p = -(1j * d_r - 0.5 * g_r) * r_target / (1j * j)
+    p_in = -((1j * d_p - 0.5 * (kap + g_p)) * p + 1j * j * r_target) \
+        / math.sqrt(kap)
+    s_in = p_in * (1.0 + gamma_filter(ch, state[idx], f_d)) \
+        / (1.0 + gamma_incident(net, state, f_d))
+    return s_in, hbar * TWO_PI * f_d * abs(s_in) ** 2
+
+
+class TestIncidentFromResonatorVsHandInversion:
+    def test_every_channel_state_and_carrier(self, mux_net):
+        worst = 0.0
+        r_target = 3.0e3 * np.exp(0.4j)
+        for state in ("gggg", "eeee", "gegg"):
+            for ch in mux_net.channels:
+                for f_d in np.linspace(10.1e9, 10.8e9, 41).tolist():
+                    s_in, p = incident_from_resonator(mux_net, ch.name, f_d,
+                                                      r_target, state)
+                    s_ref, p_ref = incident_by_hand(mux_net, ch.name, f_d,
+                                                    r_target, state)
+                    worst = max(worst, abs(s_in - s_ref) / abs(s_ref),
+                                abs(p - p_ref) / p_ref)
+        assert worst <= 1e-12
 
 
 class TestStarkLinearFit:

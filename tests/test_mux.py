@@ -11,7 +11,7 @@ from scipy.linalg import expm
 from conftest import NOISE_PHOTON_BOUNDS, QUBIT_TABLE, TABLE_MODES
 import notchlab.mux
 from notchlab import (CompositionPoleError, DrivePulse, MuxNetwork,
-                      NumericalError, PulseSegment, QubitCoupling,
+                      NormalMode, NumericalError, PulseSegment, QubitCoupling,
                       ReadoutChannel, ShuntLC, ValidationError,
                       critical_photon,
                       drive_for_photon_number, enhancement_factor,
@@ -20,6 +20,7 @@ from notchlab import (CompositionPoleError, DrivePulse, MuxNetwork,
                       normal_modes, propagate, separation, shunt_reflection,
                       steady_state, system_matrix, t1_purcell, two_port_z,
                       z21_capacitive, z21_general)
+from notchlab.mux import _channel_weights, _eigensolve, _flip, _greedy_match
 
 TWO_PI = 2 * math.pi
 PAPER_SHUNT = ShuntLC(c_shunt=230e-15, l_shunt=1.01e-9)
@@ -337,6 +338,123 @@ class TestModeDispersiveShifts:
                 continue
             bound = 0.01 if key[1] == "readout" else 0.03
             assert abs(lam_e[key] - lam_g[key]) < bound * target, key
+
+
+# The tuple-sort matchers and the two-pass mode pipeline that
+# _greedy_match and _owned_modes replaced, kept as references.
+
+def assign_channels_tuple_sort(weights):
+    """Greedy capacity-2 assignment of modes (rows) to channels (columns)."""
+    n_modes, n_ch = weights.shape
+    order = sorted(
+        ((float(weights[k, j]), k, j) for k in range(n_modes)
+         for j in range(n_ch)),
+        key=lambda t: (-t[0], t[1], t[2]))
+    cap = {j: 2 for j in range(n_ch)}
+    assigned = {}
+    for _, k, j in order:
+        if k in assigned or cap[j] == 0:
+            continue
+        assigned[k] = j
+        cap[j] -= 1
+    return [assigned[k] for k in range(n_modes)]
+
+
+def match_modes_tuple_sort(ov):
+    """Greedy one-to-one matching of the rows and columns of a square ov."""
+    n = ov.shape[1]
+    order = sorted(((float(ov[i, j]), i, j) for i in range(n) for j in range(n)),
+                   key=lambda t: (-t[0], t[1], t[2]))
+    used_a, used_b = set(), set()
+    match = [-1] * n
+    for _, i, j in order:
+        if i in used_a or j in used_b:
+            continue
+        match[i] = j
+        used_a.add(i)
+        used_b.add(j)
+    return match
+
+
+def _overlap(vec_a, vec_b):
+    return np.abs(vec_a.conj().T @ vec_b)
+
+
+def normal_modes_two_pass(net, state):
+    """normal_modes as computed before _owned_modes."""
+    lam, vec = _eigensolve(net, state)
+    weights = _channel_weights(net, vec)
+    owner = assign_channels_tuple_sort(weights)
+    shifts = np.zeros(lam.size)
+    for j, ch in enumerate(net.channels):
+        members = [k for k in range(lam.size) if owner[k] == j]
+        if ch.chi == 0.0:
+            continue
+        lam_f, vec_f = _eigensolve(net, _flip(state, j))
+        match = match_modes_tuple_sort(_overlap(vec, vec_f))
+        for k in members:
+            shifts[k] = abs(lam[k].real - lam_f[match[k]].real)
+    modes = []
+    for j, ch in enumerate(net.channels):
+        members = sorted(k for k in range(lam.size) if owner[k] == j)
+        if ch.chi == 0.0:
+            members.sort(key=lambda k: lam[k].imag)
+        else:
+            members.sort(key=lambda k: -shifts[k])
+        for rank, k in enumerate(members):
+            modes.append(NormalMode(
+                channel=ch.name, character="readout" if rank == 0 else "filter",
+                f_hz=lam[k].real / TWO_PI, kappa_hz=2.0 * lam[k].imag / TWO_PI,
+                weight=float(weights[k, j])))
+    return modes
+
+
+def mode_dispersive_shifts_two_pass(net, target):
+    """mode_dispersive_shifts as computed before _owned_modes."""
+    idx = net.index(target)
+    state_g = "g" * net.n
+    lam_g, vec_g = _eigensolve(net, state_g)
+    lam_e, vec_e = _eigensolve(net, _flip(state_g, idx))
+    owner = assign_channels_tuple_sort(_channel_weights(net, vec_g))
+    match = match_modes_tuple_sort(_overlap(vec_g, vec_e))
+    members = [k for k in range(lam_g.size) if owner[k] == idx]
+    shifts = {k: (lam_e[match[k]].real - lam_g[k].real) / 2.0 / TWO_PI
+              for k in members}
+    members.sort(key=lambda k: -abs(shifts[k]))
+    return shifts[members[0]], shifts[members[1]]
+
+
+class TestGreedyMatchVsTupleSort:
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_same_assignment_with_ties(self, cap):
+        rng = np.random.default_rng(cap)
+        tied = 0
+        for _ in range(400):
+            n = int(rng.integers(1, 9))
+            # 0-2 decimals: many equal scores, so the tie order is tested
+            score = np.round(rng.uniform(0.0, 1.0, (cap * n, n)),
+                             int(rng.integers(0, 3)))
+            tied += np.unique(score).size < score.size
+            ref = (match_modes_tuple_sort(score) if cap == 1
+                   else assign_channels_tuple_sort(score))
+            assert _greedy_match(score, cap).tolist() == ref
+        assert tied > 300
+
+
+class TestModePipelineVsTwoPass:
+    def test_mode_dispersive_shifts_identical(self, mux_net):
+        for name in ("Q1", "Q2", "Q3", "Q4"):
+            assert (mode_dispersive_shifts(mux_net, name)
+                    == mode_dispersive_shifts_two_pass(mux_net, name)), name
+
+    @pytest.mark.parametrize("state", ["gggg", "gegg", "eeee"])
+    def test_normal_modes_identical(self, mux_net, state):
+        assert normal_modes(mux_net, state) == normal_modes_two_pass(mux_net,
+                                                                     state)
+
+    def test_chi_zero_channel_identical(self):
+        net = single_channel_net(chi=0.0)
+        assert normal_modes(net, "g") == normal_modes_two_pass(net, "g")
 
 
 class TestNoisePhotonBound:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from abcd_oracle import qubit_drive_voltage
-from notchlab import (CoupledPairGeometry, EquivCap, LumpedPair,
-                      MtlCouplerParams, QubitCoupling, ShuntLC,
+from notchlab import (BracketError, CoupledPairGeometry, EquivCap,
+                      LumpedPair, MtlCouplerParams, QubitCoupling, ShuntLC,
                       ValidationError, c_ext_from_kappa, c_qr_from_g,
                       capacitive_twin, constrained_pair,
                       enhancement_bandwidth, enhancement_factor,
@@ -298,3 +298,8 @@ class TestNotchFromXi:
                 warnings.simplefilter("ignore")
                 assert enhancement_factor(f_q, f_n, f_bar) == pytest.approx(
                     xi, rel=1e-6)
+
+    def test_unreachable_xi_is_bracket_error(self):
+        # with f_q = f_bar, xi = ((f_q + f_n)/(2 f_q))^2 <= 1 below f_q
+        with pytest.raises(BracketError, match="no notch below f_q"):
+            notch_from_xi(1.5, 8e9, 8e9)
