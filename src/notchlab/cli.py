@@ -22,7 +22,7 @@ import numpy as np
 from . import equiv, metrics, mtl, mux, purcell, specfit
 from .device import device_to_dict, load_device
 from .errors import NumericalError, ValidationError
-from .io import write_csv, write_json
+from .io import read_json, write_csv, write_json
 
 _MHZ = 1e6
 
@@ -30,8 +30,8 @@ _MHZ = 1e6
 def _grid(args) -> np.ndarray:
     if not args.fmax > args.fmin > 0:
         raise ValidationError("need 0 < fmin < fmax")
-    if args.points < 2:
-        raise ValidationError("points must be >= 2")
+    if not 2 <= args.points <= mux.MAX_SAMPLES:
+        raise ValidationError(f"points must lie in [2, {mux.MAX_SAMPLES}]")
     return np.linspace(args.fmin, args.fmax, args.points)
 
 
@@ -96,8 +96,7 @@ def _cmd_reflect(args) -> int:
 
 def _parse_pulse(spec: str) -> mux.DrivePulse:
     if os.path.exists(spec):
-        with open(spec, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        raw = read_json(spec, "pulse file")
     else:
         try:
             raw = json.loads(spec)
@@ -123,7 +122,7 @@ def _parse_pulse(spec: str) -> mux.DrivePulse:
                              s.get("edge", "flat"))
             for s in raw["segments"])
         return mux.DrivePulse(f_d, segs)
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError: complex("x")
         raise ValidationError(f"malformed pulse description: {exc}")
 
 
@@ -276,12 +275,12 @@ def _cmd_budget(args) -> int:
                                     n_train=args.train)
         snr = ana.stats.snr
     if args.counts:
-        with open(args.counts, "r", encoding="utf-8") as fh:
-            c = json.load(fh)
-        counts = metrics.ReadoutCounts(
-            no_pulse=np.array(c["no_pulse"]),
-            pi_before_second=np.array(c["pi_before_second"]),
-            pi_before_first=np.array(c["pi_before_first"]))
+        c = read_json(args.counts, "counts file")
+        names = [f.name for f in dataclasses.fields(metrics.ReadoutCounts)]
+        if not (isinstance(c, dict) and all(k in c for k in names)):
+            raise ValidationError(f"counts file {args.counts} needs an object "
+                                  f"with the tables {', '.join(names)}")
+        counts = metrics.ReadoutCounts(*(c[k] for k in names))
     if snr is None:
         raise ValidationError("budget needs --snr or --shots")
     budget = metrics.error_budget(snr, args.tau_meas_ns * 1e-9,

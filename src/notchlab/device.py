@@ -8,13 +8,13 @@ here and only here.  Unknown keys are rejected by the schema.
 from __future__ import annotations
 
 import importlib.resources
-import json
 import math
 from dataclasses import dataclass, field
 
 import jsonschema
 
 from .errors import ValidationError
+from .io import read_json
 from .mtl import CoupledPairGeometry, LineParams, MtlCouplerParams
 from .mux import MuxNetwork, QubitInfo, ReadoutChannel
 from .purcell import ShuntLC
@@ -248,17 +248,9 @@ def device_from_dict(raw: dict) -> Device:
 
 
 def load_device(path) -> Device:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            # NaN, Infinity and overflowing literals parse to numbers that
-            # device_from_dict rejects
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read device file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"device file {path} is not valid JSON: {exc}") \
-            from exc
-    return device_from_dict(raw)
+    # NaN, Infinity and overflowing literals parse to numbers that
+    # device_from_dict rejects
+    return device_from_dict(read_json(path, "device file"))
 
 
 def device_to_dict(dev: Device) -> dict:

@@ -1,4 +1,4 @@
-"""Deterministic CSV/JSON emission.
+"""Deterministic CSV/JSON emission, and the one JSON file reader.
 
 All files are UTF-8 with LF line endings; floats are printed with 9
 significant digits so repeated runs and canonicalization round trips are
@@ -8,6 +8,7 @@ byte-identical.  A path of None writes the same bytes to stdout.
 from __future__ import annotations
 
 import contextlib
+import json
 import math
 import sys
 
@@ -24,6 +25,18 @@ def _sink(path):
             yield fh
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc}") from exc
+
+
+def read_json(path, what: str):
+    """Parsed JSON file; ValidationError names `what` and the path on failure."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+    except ValueError as exc:  # invalid JSON or invalid UTF-8
+        raise ValidationError(f"{what} {path} is not valid JSON: {exc}") \
+            from exc
 
 
 def format_float(x) -> str:

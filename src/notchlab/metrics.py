@@ -4,7 +4,7 @@ Covers the ac-Stark photon calibration (drive power from the measured Stark
 shift, Purcell-limited T1 from power and drive amplitude) and the error
 budget of single-shot readout: Gaussian separation error, coherence limits,
 assignment/QND fidelities from conditional counts, and bivariate IQ shot
-analysis with a logistic discriminator.
+analysis with Fisher's linear discriminant.
 """
 
 from __future__ import annotations
@@ -14,12 +14,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.constants import hbar
-from scipy.special import erf
 
 from .errors import ValidationError
 from .mtl import TWO_PI
 from .mux import MuxNetwork, steady_state
+
+hbar = 1.0545718176461565e-34  # J s; h / 2 pi, the float scipy.constants holds
 
 
 # ---------------------------------------------------------------- calibration
@@ -123,7 +123,7 @@ def separation_error(snr: float) -> float:
     """
     if snr < 0:
         raise ValidationError("SNR must be >= 0")
-    return 0.5 * (1.0 - float(erf(snr / math.sqrt(8.0))))
+    return 0.5 * (1.0 - math.erf(snr / math.sqrt(8.0)))
 
 
 def coherence_limits(tau_meas: float, tau_buffer: float,
@@ -160,10 +160,14 @@ class ReadoutCounts:
 
     def __post_init__(self):
         for name in ("no_pulse", "pi_before_second", "pi_before_first"):
-            arr = np.asarray(getattr(self, name), dtype=np.int64)
-            object.__setattr__(self, name, arr)
-            if arr.shape != (2, 2) or np.any(arr < 0):
+            table = getattr(self, name)
+            try:  # a cell that is no integer, or a ragged table
+                arr = np.asarray(table, dtype=np.int64)
+            except (TypeError, ValueError, OverflowError):
+                arr = np.zeros(0, dtype=np.int64)
+            if arr.shape != (2, 2) or np.any(arr < 0) or not np.array_equal(arr, table):
                 raise ValidationError(f"{name} must be a 2x2 table of counts")
+            object.__setattr__(self, name, arr)
 
 
 def _conditional(table: np.ndarray, first: str, second: str,
@@ -294,7 +298,7 @@ class ShotStats:
 @dataclass(frozen=True)
 class ShotAnalysis:
     stats: ShotStats
-    weights: np.ndarray            # logistic discriminator [bias, wI, wQ]
+    weights: np.ndarray            # Fisher discriminant [bias, wI, wQ]; > 0: e
     assigned: np.ndarray           # per-shot predicted label (0 g, 1 e)
     labels: np.ndarray             # per-shot prepared label
     train_mask: np.ndarray
@@ -310,42 +314,29 @@ def sigma_ellipse_radius(k: float) -> float:
     """Mahalanobis radius of the 2D 'k sigma' confidence ellipse.
 
     Defined so the ellipse holds the same probability mass as +-k sigma of a
-    1D Gaussian (68.27% at 1, 99.994% at 4): r^2 = -2 ln(1 - erf(k/sqrt(2))).
+    1D Gaussian (68.27% at 1, 99.994% at 4): r^2 = -2 ln(erfc(k/sqrt(2))).
     """
-    p = float(erf(k / math.sqrt(2.0)))
-    return math.sqrt(-2.0 * math.log1p(-p))
+    return math.sqrt(-2.0 * math.log(math.erfc(k / math.sqrt(2.0))))
+
+
+def _precision(cov: np.ndarray) -> np.ndarray:
+    """Inverse of a 2x2 covariance through its determinant."""
+    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[1, 0]
+    if not 0.0 < det < math.inf:  # also false for nan or inf entries
+        raise ValidationError("degenerate IQ covariance")
+    return np.array([[cov[1, 1], -cov[0, 1]], [-cov[1, 0], cov[0, 0]]]) / det
 
 
 def _fit_gaussian(xy: np.ndarray):
     mu = xy.mean(axis=0)
     cov = np.cov(xy.T, bias=False)
-    if np.linalg.det(cov) <= 0 or not np.all(np.isfinite(cov)):
-        raise ValidationError("degenerate IQ covariance")
     return mu, cov
 
 
-def _mahalanobis2(xy: np.ndarray, mu: np.ndarray, cov: np.ndarray) -> np.ndarray:
-    d = xy - mu
-    sol = np.linalg.solve(cov, d.T)
-    return np.einsum("ij,ji->i", d, sol)
-
-
-def _logistic_irls(x: np.ndarray, y: np.ndarray, max_iter: int = 50,
-                   tol: float = 1e-10) -> np.ndarray:
-    """Deterministic iteratively reweighted least squares for logistic regression."""
-    a = np.column_stack([np.ones(len(x)), x])
-    w = np.zeros(a.shape[1])
-    for _ in range(max_iter):
-        z = a @ w
-        mu = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
-        s = np.maximum(mu * (1.0 - mu), 1e-12)
-        grad = a.T @ (mu - y)
-        hess = (a * s[:, None]).T @ a + 1e-12 * np.eye(a.shape[1])
-        step = np.linalg.solve(hess, grad)
-        w = w - step
-        if np.max(np.abs(step)) < tol:
-            break
-    return w
+def _mahalanobis2(xy: np.ndarray, mu: np.ndarray, prec: np.ndarray) -> np.ndarray:
+    d0 = xy[:, 0] - mu[0]
+    d1 = xy[:, 1] - mu[1]
+    return prec[0, 0] * d0 * d0 + 2.0 * prec[0, 1] * d0 * d1 + prec[1, 1] * d1 * d1
 
 
 def _label_code(value) -> int | None:
@@ -387,11 +378,12 @@ def shot_analysis(iq: np.ndarray, labels, n_train: int = 20000,
                   gate_sigma: float = 4.0) -> ShotAnalysis:
     """Discriminate labeled IQ shots and tag outliers.
 
-    Fits a bivariate normal per prepared state, trains a two-class linear
-    logistic discriminator on the first n_train shots (in input order) and
-    classifies the remainder.  Shots outside both gate_sigma confidence
-    ellipses are leakage suspects: misassigned ones are 'diamonds',
-    correctly assigned shots outside their own ellipse are 'triangles'.
+    Fits a bivariate normal per prepared state, fits Fisher's linear
+    discriminant (closed form, so it exists also for separable shots) on the
+    first n_train shots (in input order) and classifies the remainder.
+    Shots outside both gate_sigma confidence ellipses are leakage suspects:
+    misassigned ones are 'diamonds', correctly assigned shots outside their
+    own ellipse are 'triangles'.
     """
     iq = np.asarray(iq)
     if np.iscomplexobj(iq):
@@ -409,6 +401,7 @@ def shot_analysis(iq: np.ndarray, labels, n_train: int = 20000,
 
     mu_g, cov_g = _fit_gaussian(xy[labels == 0])
     mu_e, cov_e = _fit_gaussian(xy[labels == 1])
+    prec_g, prec_e = _precision(cov_g), _precision(cov_e)
     axis = mu_e - mu_g
     axis = axis / np.linalg.norm(axis)
     sig_g = float(np.std((xy[labels == 0] - mu_g) @ axis, ddof=1))
@@ -418,17 +411,23 @@ def shot_analysis(iq: np.ndarray, labels, n_train: int = 20000,
                       n_g=int(np.sum(labels == 0)), n_e=int(np.sum(labels == 1)))
 
     n_train = min(n_train, n)
-    train = np.zeros(n, dtype=bool)
-    train[:n_train] = True
-    w = _logistic_irls(xy[train], labels[train].astype(float))
-    logit = w[0] + xy @ w[1:]
-    assigned = (logit > 0).astype(int)
+    train = np.arange(n) < n_train
+    tg, te = xy[train & (labels == 0)], xy[train & (labels == 1)]
+    if min(len(tg), len(te)) < 2:
+        raise ValidationError(
+            f"the first n_train = {n_train} shots hold {len(tg)} g and "
+            f"{len(te)} e shots; the discriminator needs 2 of each")
+    (m_g, c_g), (m_e, c_e) = _fit_gaussian(tg), _fit_gaussian(te)
+    w = _precision(((len(tg) - 1) * c_g + (len(te) - 1) * c_e)
+                   / (n_train - 2)) @ (m_e - m_g)
+    w = np.concatenate([[math.log(len(te) / len(tg)) - w @ (m_g + m_e) / 2.0], w])
+    assigned = (w[0] + xy @ w[1:] > 0).astype(int)
 
     ev = ~train if n_train < n else np.ones(n, dtype=bool)
     mis = (assigned != labels) & ev
     r2 = sigma_ellipse_radius(gate_sigma) ** 2
-    out_g = _mahalanobis2(xy, mu_g, cov_g) > r2
-    out_e = _mahalanobis2(xy, mu_e, cov_e) > r2
+    out_g = _mahalanobis2(xy, mu_g, prec_g) > r2
+    out_e = _mahalanobis2(xy, mu_e, prec_e) > r2
     outside_both = out_g & out_e
     own_out = np.where(assigned == 0, out_g, out_e)
     diamonds = mis & outside_both

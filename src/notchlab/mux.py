@@ -34,6 +34,10 @@ EDGE_SAMPLE_MAX_S = 0.1e-9
 
 MAX_CHANNELS = 8
 
+# most samples one sweep grid or one propagation may hold; larger requests
+# are rejected before anything is allocated
+MAX_SAMPLES = 10 ** 6
+
 NOISE_GRID_START = 4001
 NOISE_GRID_MAX = 2 ** 18 + 1
 NOISE_GRID_RTOL = 1e-9
@@ -429,9 +433,18 @@ class FieldTraces:
 
 
 def _check_passivity(net: MuxNetwork, a: np.ndarray) -> None:
-    kap_scale = max(TWO_PI * ch.kappa_p for ch in net.channels)
+    tol = 1e-6 * max(TWO_PI * ch.kappa_p for ch in net.channels)
+    # eigenvalues are good to about eps * max|A|; past the tolerance (or
+    # with inf/nan entries) rounding decides the sign of Im lambda
+    scale = float(np.max(np.abs(a)))
+    if not np.finfo(float).eps * scale < tol:
+        raise NumericalError(
+            f"system matrix entries reach {scale:.3g} rad/s, too large to "
+            "resolve its eigenvalues; a parameter overflows the float range")
     lam = np.linalg.eigvals(a)
-    if np.min(lam.imag) < -1e-6 * kap_scale:
+    if not np.all(np.isfinite(lam)):
+        raise NumericalError("system matrix eigenvalues are not finite")
+    if np.min(lam.imag) < -tol:
         raise PassivityError(
             f"system matrix has a growing mode (Im lambda = {np.min(lam.imag):.3g})")
 
@@ -447,12 +460,21 @@ def propagate(net: MuxNetwork, state: str, pulse: DrivePulse,
     state = validate_state(net, state)
     if not dt_out > 0:
         raise ValidationError("dt_out must be > 0")
+    t_end = pulse.duration
+    # an upper bound on the steps (output samples plus edge subdivisions),
+    # in floats: no array or sample generator runs past the cap
+    n_edge = sum(s.duration / EDGE_SAMPLE_MAX_S + 1
+                 for s in pulse.segments if s.edge != "flat")
+    n_steps = t_end / dt_out + n_edge + len(pulse.segments) + 2
+    if not n_steps <= MAX_SAMPLES:
+        raise ValidationError(
+            f"a {t_end:.3g} s pulse at dt_out = {dt_out:.3g} s needs up to "
+            f"{n_steps:.3g} time steps; the limit is {MAX_SAMPLES}")
     a, d = system_matrix(net, state, pulse.f_d)
     _check_passivity(net, a)
     n = net.n
     dim = 2 * n
 
-    t_end = pulse.duration
     n_out = int(math.floor(t_end / dt_out + 1e-9))
     out_times = np.arange(n_out + 1) * dt_out
     if out_times[-1] < t_end - 1e-15:
@@ -478,20 +500,23 @@ def propagate(net: MuxNetwork, state: str, pulse: DrivePulse,
 
     x = np.zeros(dim, dtype=complex)
     xs = np.zeros((hs.size + 1, dim), dtype=complex)  # last row: not reached
-    for k, (i, u) in enumerate(zip(which.tolist(), us)):
-        e_h, f_h = ops[i]
-        x = e_h @ x + f_h * u
-        xs[k] = x
-    # an output time takes the state after the first step that reaches it
-    states = np.zeros((out_times.size, dim), dtype=complex)
-    states[1:] = xs[np.searchsorted(cuts[1:] + 1e-15, out_times[1:])]
-
     gs = shunt_reflection(net.shunt, net.z0_line, pulse.f_d)
     s_in = np.asarray(pulse.envelope(out_times), dtype=complex)
     root_k = np.sqrt(np.array([TWO_PI * ch.kappa_p for ch in net.channels]))
-    p = states[:, :n].T
-    r = states[:, n:].T
-    s_out = gs * s_in - 0.5 * (1.0 + gs) * (root_k @ p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (i, u) in enumerate(zip(which.tolist(), us)):
+            e_h, f_h = ops[i]
+            x = e_h @ x + f_h * u
+            xs[k] = x
+        # an output time takes the state after the first step that reaches it
+        states = np.zeros((out_times.size, dim), dtype=complex)
+        states[1:] = xs[np.searchsorted(cuts[1:] + 1e-15, out_times[1:])]
+        p = states[:, :n].T
+        r = states[:, n:].T
+        s_out = gs * s_in - 0.5 * (1.0 + gs) * (root_k @ p)
+    if not (np.all(np.isfinite(states)) and np.all(np.isfinite(s_out))):
+        raise NumericalError("propagated field traces are not finite; a "
+                             "parameter or the drive overflows the float range")
     return FieldTraces(t=out_times, p=p, r=r, s_out=s_out, s_in=s_in,
                        f_d=pulse.f_d, state=state)
 
@@ -666,6 +691,9 @@ def separation(net: MuxNetwork, target: str, pulse: DrivePulse,
     idx = net.index(target)
     state_g = "g" * net.n
     state_e = _flip(state_g, idx)
+    # the cheap frequency-domain values first: they fail fast on overflow
+    g_g = gamma_incident(net, state_g, pulse.f_d)
+    g_e = gamma_incident(net, state_e, pulse.f_d)
     tr_g = propagate(net, state_g, pulse, dt_out)
     tr_e = propagate(net, state_e, pulse, dt_out)
     s = np.abs(tr_e.s_out - tr_g.s_out)
@@ -675,8 +703,6 @@ def separation(net: MuxNetwork, target: str, pulse: DrivePulse,
     # plateau amplitude: the last segment that actually drives the network
     amp_ss = next((seg.amplitude for seg in reversed(pulse.segments)
                    if abs(seg.amplitude) > 0), 0.0)
-    g_g = gamma_incident(net, state_g, pulse.f_d)
-    g_e = gamma_incident(net, state_e, pulse.f_d)
     s_ss = abs(amp_ss) * abs(g_e - g_g)
     return SeparationResult(t=tr_g.t, s=s, s_target_only=s_single, s_ss=s_ss,
                             gamma_m=0.5 * s_ss ** 2, traces_g=tr_g,

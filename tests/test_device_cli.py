@@ -346,6 +346,7 @@ class TestNumericalFailuresExit3:
         "separation": ["--pair", "Q1", "--pulse", PULSE],
         "purcell": ["--pair", "Q1", "--fmin", "7.8e9", "--fmax", "8.8e9",
                     "--points", "11"],
+        "simulate": ["--pulse", PULSE],
     }
 
     @pytest.mark.parametrize("command,key,value,message", [
@@ -353,7 +354,11 @@ class TestNumericalFailuresExit3:
         ("separation", "j_mhz", 1e300, "4 J^2 overflows"),
         ("reflect", "f_r_g_mhz", 1e300, "reflection coefficient is not finite"),
         ("purcell", "len_um", 0, "coupler length 0"),
-    ], ids=["reflect-j", "separation-j", "reflect-f_r_g", "purcell-len_c"])
+        ("simulate", "j_mhz", 1e300, "too large to resolve its eigenvalues"),
+        ("simulate", "f_r_g_mhz", 1e300,
+         "too large to resolve its eigenvalues"),
+    ], ids=["reflect-j", "separation-j", "reflect-f_r_g", "purcell-len_c",
+            "simulate-j", "simulate-f_r_g"])
     def test_exit_3_with_message(self, tmp_path, capsys, command, key, value,
                                  message):
         raw = json.loads(paper_device_path().read_text())
@@ -374,6 +379,85 @@ class TestNumericalFailuresExit3:
         assert err.startswith("numerical error: ") and message in err
         assert "Traceback" not in err and caught == []
         assert not out.exists()
+
+    def test_overflowing_drive_exit_3(self, device_path, tmp_path, capsys):
+        pulse = json.dumps({"carrier_mhz": 10224.0, "rectangular": {
+            "amplitude": 1.7e308, "duration_ns": 20}})
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["simulate", "--device", str(device_path), "--pulse",
+                        pulse, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "field traces are not finite" in err and caught == []
+        assert not out.exists()
+
+
+COUNTS_OK = {"no_pulse": [[990, 10], [20, 980]],
+             "pi_before_second": [[15, 985], [20, 980]],
+             "pi_before_first": [[990, 10], [30, 970]]}
+
+
+class TestJsonInputs:
+    """--pulse files and --counts files: each bad one exits 2 with a message."""
+
+    @pytest.mark.parametrize("command,content,detail", [
+        ("simulate", "{not json", "pulse file"),
+        ("simulate", json.dumps({"carrier_mhz": 10224.0, "segments": [
+            {"duration_ns": 10, "amplitude": "x"}]}),
+         "malformed pulse description"),
+        ("budget", None, "cannot read counts file"),
+        ("budget", "[[1, 2]", "counts file"),
+        ("budget", json.dumps({k: v for k, v in COUNTS_OK.items()
+                               if k != "pi_before_first"}),
+         "pi_before_first"),
+        ("budget", json.dumps({**COUNTS_OK, "no_pulse": [[990, "x"],
+                                                         [20, 980]]}),
+         "no_pulse must be a 2x2 table of counts"),
+    ], ids=["pulse-invalid-json", "pulse-text-amplitude", "counts-missing",
+            "counts-invalid-json", "counts-missing-key", "counts-bad-cell"])
+    def test_exit_2_with_message(self, device_path, tmp_path, capsys,
+                                 command, content, detail):
+        path = tmp_path / "input.json"
+        if content is not None:
+            path.write_text(content)
+        out = tmp_path / "out"
+        if command == "simulate":
+            argv = ["simulate", "--device", str(device_path), "--pulse",
+                    str(path), "--out", str(out)]
+        else:
+            argv = ["budget", "--snr", "8", "--tau-meas-ns", "56", "--t1-us",
+                    "26", "--counts", str(path), "--out", str(out)]
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and detail in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_good_counts_read(self, tmp_path):
+        path = tmp_path / "counts.json"
+        path.write_text(json.dumps(COUNTS_OK))
+        out = tmp_path / "out.json"
+        assert run(["budget", "--snr", "8", "--tau-meas-ns", "56", "--t1-us",
+                    "26", "--counts", str(path), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["f"] == pytest.approx(0.9875)
+
+
+class TestSizeCaps:
+    """Requests past the sample cap fail validation before any allocation."""
+
+    def test_grid_points_capped(self):
+        args = argparse.Namespace(fmin=1e9, fmax=2e9, points=10 ** 6 + 1)
+        with pytest.raises(ValidationError, match="points must lie in"):
+            notchlab.cli._grid(args)
+
+    def test_tiny_dt_exit_2(self, device_path, tmp_path, capsys):
+        pulse = json.dumps({"carrier_mhz": 10224.0, "two_step": {
+            "plateau_amplitude": 1e6, "plateau_duration_ns": 50}})
+        assert run(["simulate", "--device", str(device_path), "--pulse",
+                    pulse, "--dt-ns", "1e-300",
+                    "--out", str(tmp_path / "o.csv")]) == 2
+        assert "time steps; the limit is" in capsys.readouterr().err
 
 
 STARK_OK = "power_w,f_q_ac_hz\n0,8.0e9\n1e-15,7.9e9\n2e-15,7.8e9\n"

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 import re
 
@@ -11,6 +13,7 @@ from notchlab import (QubitCoupling, ReadoutCounts, ValidationError,
                       photons_from_stark, rabi_to_omega, separation_error,
                       shot_analysis, stark_linear_fit, steady_state,
                       t1_from_drive, wilson_interval)
+from notchlab import metrics
 from notchlab.metrics import sigma_ellipse_radius
 
 TWO_PI = 2 * math.pi
@@ -367,6 +370,99 @@ class TestShotAnalysis:
         iq, labels = self._blobs(rng, snr=4.0, n=1000)
         with pytest.raises(ValidationError, match="one label per shot"):
             shot_analysis(iq, labels.reshape(2, -1))
+
+
+def logistic_irls(x, y, max_iter=50, tol=1e-10):
+    """The iteratively reweighted logistic fit shot_analysis used before.
+
+    When the training shots are linearly separable the maximum-likelihood
+    weights do not exist; this loop then stops at max_iter with |w| growing.
+    """
+    a = np.column_stack([np.ones(len(x)), x])
+    w = np.zeros(a.shape[1])
+    for _ in range(max_iter):
+        z = a @ w
+        mu = 1.0 / (1.0 + np.exp(-np.clip(z, -500, 500)))
+        s = np.maximum(mu * (1.0 - mu), 1e-12)
+        grad = a.T @ (mu - y)
+        hess = (a * s[:, None]).T @ a + 1e-12 * np.eye(a.shape[1])
+        step = np.linalg.solve(hess, grad)
+        w = w - step
+        if np.max(np.abs(step)) < tol:
+            break
+    return w
+
+
+def shot_record(seed, snr, n=40000):
+    """Unit-variance IQ clouds snr apart along a random axis, random labels."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, 2, n)
+    axis = np.exp(1j * rng.uniform(0, 2 * math.pi))
+    iq = np.where(labels == 1, snr * axis, 0.0) + rng.normal(size=n) \
+        + 1j * rng.normal(size=n)
+    return np.column_stack([iq.real, iq.imag]), labels
+
+
+class TestFisherDiscriminant:
+    @pytest.mark.parametrize("seed", [1, 7919])
+    @pytest.mark.parametrize("snr", [6.0, 6.3, 6.7, 8.4])
+    def test_assignments_match_logistic_reference(self, seed, snr):
+        xy, labels = shot_record(seed, snr)
+        ana = shot_analysis(xy, labels, n_train=20000)
+        w = logistic_irls(xy[:20000], labels[:20000].astype(float))
+        ref = (w[0] + xy[20000:] @ w[1:] > 0).astype(int)
+        assert np.count_nonzero(ana.assigned[20000:] != ref) <= 20
+
+    @pytest.mark.parametrize("snr", [8.4, 12.0])
+    def test_separable_training_finite_weights(self, snr):
+        xy, labels = shot_record(3, snr)
+        ana = shot_analysis(xy, labels, n_train=20000)
+        train = ana.train_mask
+        # the training shots are linearly separable: no logistic optimum
+        assert np.array_equal(ana.assigned[train], labels[train])
+        assert np.all(np.isfinite(ana.weights))
+        assert np.linalg.norm(ana.weights[1:]) == pytest.approx(snr, rel=0.05)
+
+    def test_mahalanobis_matches_solve(self):
+        rng = np.random.default_rng(11)
+        xy = rng.multivariate_normal([0.3, -1.0], [[2.0, 0.7], [0.7, 1.0]],
+                                     40000)
+        mu = xy.mean(axis=0)
+        cov = np.cov(xy.T)
+        d = xy - mu
+        ref = np.einsum("ij,ji->i", d, np.linalg.solve(cov, d.T))
+        got = metrics._mahalanobis2(xy, mu, metrics._precision(cov))
+        assert np.max(np.abs(got - ref) / ref) < 1e-12
+
+    def test_stats_bit_identical_to_moment_formula(self):
+        xy, labels = shot_record(5, 6.3)
+        stats = shot_analysis(xy, labels).stats
+        g, e = xy[labels == 0], xy[labels == 1]
+        mu_g, mu_e = g.mean(axis=0), e.mean(axis=0)
+        axis = (mu_e - mu_g) / np.linalg.norm(mu_e - mu_g)
+        assert stats.mu_g == complex(*mu_g) and stats.mu_e == complex(*mu_e)
+        assert stats.sigma_g == float(np.std((g - mu_g) @ axis, ddof=1))
+        assert stats.sigma_e == float(np.std((e - mu_e) @ axis, ddof=1))
+
+    @pytest.mark.parametrize("n_train", [150, 0, -5])
+    def test_too_few_training_shots_named(self, n_train):
+        xy, labels = shot_record(6, 6.3, n=1000)
+        order = np.argsort(labels, kind="stable")  # all g shots first
+        with pytest.raises(ValidationError, match="n_train = "):
+            shot_analysis(xy[order], labels[order], n_train=n_train)
+
+
+class TestMetricsConstants:
+    def test_hbar_is_scipy_value(self):
+        assert metrics.hbar == hbar
+
+    def test_module_imports_no_scipy(self):
+        tree = ast.parse(inspect.getsource(metrics))
+        names = [a.name for node in ast.walk(tree)
+                 if isinstance(node, ast.Import) for a in node.names]
+        names += [node.module or "" for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)]
+        assert not [m for m in names if m.split(".")[0] == "scipy"]
 
 
 class TestMatchedFilter:

@@ -626,6 +626,29 @@ class TestPropagateStepLoop:
             assert np.array_equal(tr.s_out, s_out)
 
 
+class TestPropagateGuards:
+    def test_step_cap_before_sampling(self, mux_net, monkeypatch):
+        def no_sampling(self):
+            raise AssertionError("sample_intervals ran past the cap")
+        monkeypatch.setattr(DrivePulse, "sample_intervals", no_sampling)
+        # a 1 s raised-cosine edge needs 1e10 subdivisions at 0.1 ns
+        long_edge = DrivePulse(10.36e9, (PulseSegment(1.0, 1e6,
+                                                      "raised_cosine"),))
+        with pytest.raises(ValidationError, match="the limit is 1000000"):
+            propagate(mux_net, "gggg", long_edge, 1.0)
+        short = DrivePulse.rectangular(10.36e9, 1e6, 100e-9)
+        with pytest.raises(ValidationError, match="the limit is 1000000"):
+            propagate(mux_net, "gggg", short, 100e-9 / (10 ** 6 + 1))
+
+    def test_non_finite_eigenvalues_raise(self, mux_net, monkeypatch):
+        def nan_eigvals(a):
+            return np.full(a.shape[0], np.nan + 0j)
+        monkeypatch.setattr(notchlab.mux.np.linalg, "eigvals", nan_eigvals)
+        pulse = DrivePulse.rectangular(10.36e9, 1e6, 10e-9)
+        with pytest.raises(NumericalError, match="eigenvalues are not finite"):
+            propagate(mux_net, "gggg", pulse, 1e-9)
+
+
 class TestCriticalPhoton:
     def test_table_values(self, mux_net):
         for i, (name, row) in enumerate(QUBIT_TABLE.items()):
