@@ -48,8 +48,7 @@ def _cmd_z21(args) -> int:
     dev = args.dev
     geom = dev.pair(args.pair)
     grid = _grid(args)
-    guard = args.tol if args.tol else mtl.DEFAULT_POLE_GUARD_HZ
-    z21 = mtl.z21_auto(geom, grid, pole_guard_hz=guard)
+    z21 = mtl.z21_auto(geom, grid, pole_guard_hz=args.tol)
     write_csv(args.out, ["freq_hz", "im_z21_ohm"],
               zip(grid.tolist(), z21.imag.tolist()))
     return 0
@@ -241,10 +240,9 @@ def _cmd_fit(args) -> int:
     dev = args.dev
     spec_g = _read_spectrum(args.spec_g, "g")
     spec_e = _read_spectrum(args.spec_e, "e") if args.spec_e else None
-    tol = args.tol if args.tol else 1e-12
     cfg = specfit.FitConfig(initial=dev.mux_network(), theta0=args.theta0,
-                            tau=args.tau_ns * 1e-9, xtol=tol, ftol=tol,
-                            gtol=tol)
+                            tau=args.tau_ns * 1e-9, xtol=args.tol,
+                            ftol=args.tol, gtol=args.tol)
     result = specfit.fit_reflection(spec_g, spec_e, cfg)
     stderr = {key: val.tolist() if isinstance(val, np.ndarray) else val
               for key, val in result.stderr.items()}
@@ -350,8 +348,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("z21", help="transfer-impedance sweep")
     common(p, pair=True, sweep=True, out="required")
-    p.add_argument("--tol", type=float, default=None,
-                   help="pole guard band in Hz (default 1e3)")
+    p.add_argument("--tol", type=float, default=mtl.DEFAULT_POLE_GUARD_HZ,
+                   help="pole guard band in Hz, > 0 (default 1e3)")
     p.set_defaults(fn=_cmd_z21)
 
     p = sub.add_parser("design", help="per-pair design quantities")
@@ -392,8 +390,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec-e", default=None, help="all-e spectrum CSV")
     p.add_argument("--theta0", type=float, default=0.0)
     p.add_argument("--tau-ns", type=float, default=0.0)
-    p.add_argument("--tol", type=float, default=None,
-                   help="optimizer xtol/ftol/gtol (default 1e-12)")
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="optimizer xtol/ftol/gtol, > 0 (default 1e-12)")
     p.set_defaults(fn=_cmd_fit)
 
     p = sub.add_parser("budget", help="readout error budget")

@@ -220,29 +220,25 @@ def device_from_dict(raw: dict) -> Device:
     line = LineParams(z0=raw["line"]["z0_ohm"], v=raw["line"]["v_m_per_s"])
     z0_line = raw["line"].get("z0_line_ohm", 50.0)
     shunt = ShuntLC(c_shunt=raw["shunt"]["c_f"], l_shunt=raw["shunt"]["l_h"])
-    geometry = {}
-    for g in raw["geometry"]:
-        if g["name"] in geometry:
-            raise ValidationError(f"duplicate geometry name {g['name']!r}")
-        geometry[g["name"]] = CoupledPairGeometry(
-            **{k: g[f"{k}_um"] * _UM for k in _SEGMENT_FIELDS},
-            coupler=_coupler_from_json(g["coupler"]),
-            line=line,
-        )
+    for key, kind in (("geometry", "geometry"), ("channels", "channel"),
+                      ("qubits", "qubit")):
+        names = [item["name"] for item in raw[key]]
+        dup = next((nm for i, nm in enumerate(names) if nm in names[:i]), None)
+        if dup is not None:
+            raise ValidationError(f"duplicate {kind} name {dup!r}")
+    geometry = {g["name"]: CoupledPairGeometry(
+        **{k: g[f"{k}_um"] * _UM for k in _SEGMENT_FIELDS},
+        coupler=_coupler_from_json(g["coupler"]), line=line)
+        for g in raw["geometry"]}
     # the schema requires every channel field but the internal linewidths
     channels = tuple(
         ReadoutChannel(name=c["name"], **{k: c.get(f"{k}_mhz", 0.0) * _MHZ
                                           for k in _CHANNEL_FIELDS})
         for c in raw["channels"]
     )
-    qubits = {}
-    for q in raw["qubits"]:
-        if q["name"] in qubits:
-            raise ValidationError(f"duplicate qubit name {q['name']!r}")
-        qubits[q["name"]] = QubitInfo(
-            **{k: q[f"{k}_mhz"] * _MHZ for k in _QUBIT_FIELDS},
-            c_q=q.get("c_q_f"),
-        )
+    qubits = {q["name"]: QubitInfo(
+        **{k: q[f"{k}_mhz"] * _MHZ for k in _QUBIT_FIELDS}, c_q=q.get("c_q_f"))
+        for q in raw["qubits"]}
     return Device(line=line, z0_line=z0_line, shunt=shunt, geometry=geometry,
                   channels=channels, qubits=qubits)
 

@@ -71,19 +71,17 @@ def stark_linear_fit(points) -> tuple[float, float, float]:
     if len(pts) < 3:
         raise ValidationError("need at least 3 points for the Stark fit")
     p, f = pts.T
-    # power centered, scaled to [-1, 1]: unit-free; a zero column if constant
-    p_mid = float(np.mean(p))
-    p_span = float(np.max(np.abs(p - p_mid))) or 1.0
-    a = np.column_stack([np.ones_like(p), (p - p_mid) / p_span])
-    if np.linalg.matrix_rank(a) < 2:
+    if not np.ptp(p) > 0:
         raise ValidationError("Stark fit is rank-deficient (constant power?)")
-    coef, *_ = np.linalg.lstsq(a, f, rcond=None)
-    resid = f - a @ coef
+    # centred coordinates: unit-free, and an exact zero slope stays zero
+    p_mean, f_mean = float(np.mean(p)), float(np.mean(f))
+    dp, df = p - p_mean, f - f_mean
+    sxx = float(dp @ dp)
+    k = float(dp @ df) / sxx
+    resid = df - k * dp
     s2 = float(resid @ resid) / (len(pts) - 2)
-    cov = s2 * np.linalg.inv(a.T @ a)
-    k = float(coef[1]) / p_span
-    g = np.array([1.0, -p_mid / p_span])  # d f_q / d coef at P = 0
-    return float(coef[0]) - k * p_mid, k, math.sqrt(max(g @ cov @ g, 0.0))
+    stderr = math.sqrt(s2 * (1.0 / len(pts) + p_mean ** 2 / sxx))
+    return f_mean - k * p_mean, k, stderr
 
 
 def rabi_to_omega(f_rabi: float, transition: str = "ge") -> float:
@@ -396,23 +394,25 @@ def shot_analysis(iq: np.ndarray, labels, n_train: int = 20000,
     if labels.size != xy.shape[0]:
         raise ValidationError("labels must match the number of shots")
     n = xy.shape[0]
-    if min(np.sum(labels == 0), np.sum(labels == 1)) < 100:
+    g, e = xy[labels == 0], xy[labels == 1]
+    if min(len(g), len(e)) < 100:
         raise ValidationError("need at least 100 shots per prepared state")
 
-    mu_g, cov_g = _fit_gaussian(xy[labels == 0])
-    mu_e, cov_e = _fit_gaussian(xy[labels == 1])
+    mu_g, cov_g = _fit_gaussian(g)
+    mu_e, cov_e = _fit_gaussian(e)
     prec_g, prec_e = _precision(cov_g), _precision(cov_e)
     axis = mu_e - mu_g
     axis = axis / np.linalg.norm(axis)
-    sig_g = float(np.std((xy[labels == 0] - mu_g) @ axis, ddof=1))
-    sig_e = float(np.std((xy[labels == 1] - mu_e) @ axis, ddof=1))
+    sig_g = float(np.std((g - mu_g) @ axis, ddof=1))
+    sig_e = float(np.std((e - mu_e) @ axis, ddof=1))
     stats = ShotStats(mu_g=complex(*mu_g), mu_e=complex(*mu_e),
-                      sigma_g=sig_g, sigma_e=sig_e,
-                      n_g=int(np.sum(labels == 0)), n_e=int(np.sum(labels == 1)))
+                      sigma_g=sig_g, sigma_e=sig_e, n_g=len(g), n_e=len(e))
 
-    n_train = min(n_train, n)
+    # the training shots of each state are a prefix of its subset
+    n_train = min(max(n_train, 0), n)
     train = np.arange(n) < n_train
-    tg, te = xy[train & (labels == 0)], xy[train & (labels == 1)]
+    n_tg = int(np.count_nonzero(labels[:n_train] == 0))
+    tg, te = g[:n_tg], e[:n_train - n_tg]
     if min(len(tg), len(te)) < 2:
         raise ValidationError(
             f"the first n_train = {n_train} shots hold {len(tg)} g and "

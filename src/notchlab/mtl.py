@@ -203,6 +203,8 @@ def _scalar_or_array(out: np.ndarray, scalar: bool, kind=complex):
 
 
 def _guard_poles(f: np.ndarray, f_r: float, f_p: float, guard: float) -> None:
+    if not guard > 0:  # also false for nan
+        raise ValidationError("pole guard must be > 0")
     for name, fm in (("readout", f_r), ("filter", f_p)):
         d = _nearest_pole(f, fm)
         if np.any(d < guard):

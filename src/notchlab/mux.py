@@ -390,23 +390,22 @@ class DrivePulse:
     def sample_intervals(self):
         """Piecewise-constant sampling of the envelope.
 
-        Yields (t0, t1, amplitude) covering [0, duration); raised-cosine
-        edges are subdivided at <= 0.1 ns and sampled at interval midpoints.
+        Returns (t0, t1, amplitude) triples covering [0, duration);
+        raised-cosine edges are subdivided at <= 0.1 ns.  Each amplitude is
+        `envelope` at the interval midpoint (t0 + t1) / 2.
         """
+        bounds = []
         t0 = 0.0
-        prev = 0.0 + 0.0j
         for seg in self.segments:
             if seg.edge == "flat":
-                yield t0, t0 + seg.duration, complex(seg.amplitude)
+                bounds.append((t0, t0 + seg.duration))
             else:
                 nsub = max(1, math.ceil(seg.duration / EDGE_SAMPLE_MAX_S))
                 h = seg.duration / nsub
-                for k in range(nsub):
-                    tau = (k + 0.5) / nsub
-                    amp = prev + (seg.amplitude - prev) * 0.5 * (1 - math.cos(math.pi * tau))
-                    yield t0 + k * h, t0 + (k + 1) * h, complex(amp)
-            prev = complex(seg.amplitude)
+                bounds.extend((t0 + k * h, t0 + (k + 1) * h) for k in range(nsub))
             t0 += seg.duration
+        amps = self.envelope([0.5 * (a + b) for a, b in bounds])
+        return [(a, b, amp) for (a, b), amp in zip(bounds, amps.tolist())]
 
 
 @dataclass(frozen=True)

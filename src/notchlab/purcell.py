@@ -14,14 +14,13 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .equiv import (EquivCap, LumpedPair, LumpedResonator, NotchLC,
                     _lc_admittance, equivalent_pair, j_mtl, map_resonator,
                     two_port_z)
 from .errors import BracketError, ValidationError
 from .mtl import (TWO_PI, CoupledPairGeometry, _freq_array, _scalar_or_array,
-                  z21_auto)
+                  find_zero, z21_auto)
 
 
 @dataclass(frozen=True)
@@ -210,10 +209,10 @@ def notch_from_xi(xi: float, f_q: float, f_rp_bar: float) -> float:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         try:
-            return brentq(fun, 0.3 * f_q, f_q * (1.0 - 1e-12), xtol=1.0)
-        except ValueError as exc:  # no sign change over the bracket
+            return find_zero(fun, 0.3 * f_q, f_q * (1.0 - 1e-12), tol=1.0)
+        except BracketError:  # no sign change over the bracket
             raise BracketError(f"no notch below f_q = {f_q:.6g} Hz gives "
-                               f"xi = {xi:.6g}: {exc}") from None
+                               f"xi = {xi:.6g}") from None
 
 
 def c_qr_from_g(g_hz: float, f_q: float, f_r: float, c_q: float,

@@ -557,6 +557,59 @@ def _subparsers() -> dict:
     return action.choices
 
 
+class TestToleranceAndNames:
+    """--tol must be > 0; no device list may repeat a name."""
+
+    @pytest.mark.parametrize("tol", ["0", "nan"])
+    @pytest.mark.parametrize("command", ["z21", "fit"])
+    def test_tol_not_positive_exit_2(self, device_path, tmp_path, capsys,
+                                     command, tol):
+        if command == "z21":
+            flags = ["--pair", "Q1", "--fmin", "8e9", "--fmax", "9e9",
+                     "--points", "11"]
+        else:
+            spec = tmp_path / "g.csv"
+            spec.write_text(SPEC_OK)
+            flags = ["--spec-g", str(spec)]
+        out = tmp_path / "out"
+        assert run([command, "--device", str(device_path), *flags,
+                    "--tol", tol, "--out", str(out)]) == 2
+        assert "must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_small_guard_reaches_near_pole(self, device_path, tmp_path):
+        f_pole = load_device(device_path).pair("Q1").f_r
+        argv = ["z21", "--device", str(device_path), "--pair", "Q1",
+                "--fmin", repr(f_pole + 100.0), "--fmax", repr(f_pole + 200.0),
+                "--points", "2", "--out", str(tmp_path / "o.csv")]
+        assert run(argv) == 3  # inside the default 1 kHz guard
+        assert run(argv + ["--tol", "1e-3"]) == 0
+
+    @pytest.mark.parametrize("key,kind", [("geometry", "geometry"),
+                                          ("channels", "channel"),
+                                          ("qubits", "qubit")])
+    def test_duplicate_name_rejected(self, key, kind):
+        raw = json.loads(paper_device_path().read_text())
+        raw[key][1]["name"] = raw[key][0]["name"]
+        with pytest.raises(ValidationError,
+                           match=f"duplicate {kind} name {raw[key][0]['name']!r}"):
+            device_from_dict(raw)
+
+    @pytest.mark.parametrize("command", ["device", "design", "purcell"])
+    def test_duplicate_channel_name_exit_2(self, tmp_path, capsys, command):
+        raw = json.loads(paper_device_path().read_text())
+        raw["channels"][1]["name"] = "Q1"
+        dev = tmp_path / "dev.json"
+        dev.write_text(json.dumps(raw))
+        flags = ["--pair", "Q1", "--fmin", "7.8e9", "--fmax", "8.8e9",
+                 "--points", "11"] if command == "purcell" else []
+        out = tmp_path / "out"
+        assert run([command, "--device", str(dev), *flags,
+                    "--out", str(out)]) == 2
+        assert "duplicate channel name 'Q1'" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestFlagLiveness:
     @pytest.mark.parametrize("command", sorted(_subparsers()))
     def test_every_flag_is_read(self, command):

@@ -1,7 +1,9 @@
 import ast
+import importlib
 import inspect
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from notchlab import (QubitCoupling, ReadoutCounts, ValidationError,
                       photons_from_stark, rabi_to_omega, separation_error,
                       shot_analysis, stark_linear_fit, steady_state,
                       t1_from_drive, wilson_interval)
+import notchlab
 from notchlab import metrics
 from notchlab.metrics import sigma_ellipse_radius
 
@@ -156,6 +159,36 @@ class TestStarkLinearFit:
             stark_linear_fit([(1e-6, 8e9), (1e-6, 8.1e9), (1e-6, 8.2e9)])
         with pytest.raises(ValidationError):
             stark_linear_fit([(1e-6, 8e9), (2e-6, 8.1e9)])
+
+
+def stark_lstsq_fit(points):
+    """The Stark fit as first written: lstsq on power scaled to [-1, 1]."""
+    pts = np.array([(float(p), float(f)) for p, f in points]).reshape(-1, 2)
+    p, f = pts.T
+    p_mid = float(np.mean(p))
+    p_span = float(np.max(np.abs(p - p_mid))) or 1.0
+    a = np.column_stack([np.ones_like(p), (p - p_mid) / p_span])
+    coef, *_ = np.linalg.lstsq(a, f, rcond=None)
+    resid = f - a @ coef
+    cov = float(resid @ resid) / (len(pts) - 2) * np.linalg.inv(a.T @ a)
+    k = float(coef[1]) / p_span
+    g = np.array([1.0, -p_mid / p_span])
+    return float(coef[0]) - k * p_mid, k, math.sqrt(max(g @ cov @ g, 0.0))
+
+
+class TestStarkFitVsLstsq:
+    @pytest.mark.parametrize("unit", [1.0, 1e-6, 1e-15])
+    def test_matches_lstsq_reference(self, unit):
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            n = int(rng.integers(3, 20))
+            p = rng.uniform(0.0, 5.0, n) * unit
+            f = 8.0e9 + rng.normal(-2e6, 1e6) / unit * p \
+                + rng.normal(0, 20e3, n)
+            got = stark_linear_fit(zip(p, f))
+            ref = stark_lstsq_fit(zip(p, f))
+            for a, b in zip(got, ref):
+                assert a == pytest.approx(b, rel=1e-9)
 
 
 class TestT1FromDrive:
@@ -444,6 +477,27 @@ class TestFisherDiscriminant:
         assert stats.sigma_g == float(np.std((g - mu_g) @ axis, ddof=1))
         assert stats.sigma_e == float(np.std((e - mu_e) @ axis, ddof=1))
 
+    @pytest.mark.parametrize("seed", [1, 7919])
+    @pytest.mark.parametrize("n_train", [20000, 150, None])
+    def test_bit_identical_to_mask_built_subsets(self, seed, n_train):
+        xy, labels = shot_record(seed, 6.3)
+        n_train = len(labels) if n_train is None else n_train
+        ana = shot_analysis(xy, labels, n_train=n_train)
+        # the weights as computed from masks over all shots
+        train = np.arange(len(labels)) < n_train
+        tg, te = xy[train & (labels == 0)], xy[train & (labels == 1)]
+        m_g, m_e = tg.mean(axis=0), te.mean(axis=0)
+        pooled = ((len(tg) - 1) * np.cov(tg.T) + (len(te) - 1) * np.cov(te.T)) \
+            / (n_train - 2)
+        w = metrics._precision(pooled) @ (m_e - m_g)
+        w = np.concatenate([[math.log(len(te) / len(tg))
+                             - w @ (m_g + m_e) / 2.0], w])
+        assert np.array_equal(ana.weights, w)
+        assert np.array_equal(ana.assigned, (w[0] + xy @ w[1:] > 0).astype(int))
+        assert np.array_equal(ana.train_mask, train)
+        assert (ana.stats.n_g, ana.stats.n_e) == (np.sum(labels == 0),
+                                                  np.sum(labels == 1))
+
     @pytest.mark.parametrize("n_train", [150, 0, -5])
     def test_too_few_training_shots_named(self, n_train):
         xy, labels = shot_record(6, 6.3, n=1000)
@@ -456,8 +510,13 @@ class TestMetricsConstants:
     def test_hbar_is_scipy_value(self):
         assert metrics.hbar == hbar
 
-    def test_module_imports_no_scipy(self):
-        tree = ast.parse(inspect.getsource(metrics))
+    @pytest.mark.parametrize("name", sorted(
+        path.stem for path in Path(notchlab.__file__).parent.glob("*.py")
+        if path.stem not in ("mux", "specfit")))
+    def test_module_imports_no_scipy(self, name):
+        # scipy loads only for expm (mux) and the optimizers (specfit)
+        module = importlib.import_module(f"notchlab.{name}")
+        tree = ast.parse(inspect.getsource(module))
         names = [a.name for node in ast.walk(tree)
                  if isinstance(node, ast.Import) for a in node.names]
         names += [node.module or "" for node in ast.walk(tree)

@@ -689,6 +689,63 @@ class TestDrivePulse:
             PulseSegment(duration=1e-9, amplitude=1.0, edge="gauss")
 
 
+def sample_intervals_cos(pulse):
+    """(t0, t1, amplitude) from the edge sampler sample_intervals replaced.
+
+    It evaluated the raised cosine a second time, with math.cos at
+    tau = (k + 1/2) / nsub of each edge, instead of calling envelope.
+    """
+    t0 = 0.0
+    prev = 0.0 + 0.0j
+    for seg in pulse.segments:
+        if seg.edge == "flat":
+            yield t0, t0 + seg.duration, complex(seg.amplitude)
+        else:
+            nsub = max(1, math.ceil(seg.duration / 0.1e-9))
+            h = seg.duration / nsub
+            for k in range(nsub):
+                tau = (k + 0.5) / nsub
+                amp = prev + (seg.amplitude - prev) * 0.5 * (1 - math.cos(math.pi * tau))
+                yield t0 + k * h, t0 + (k + 1) * h, complex(amp)
+        prev = complex(seg.amplitude)
+        t0 += seg.duration
+
+
+SAMPLED_PULSES = {
+    "rectangular": DrivePulse.rectangular(10.36e9, 1e6, 100e-9),
+    "two_step": DrivePulse.two_step(10.36e9, 1.2e6, 137.3e-9),
+    "two_step_tail": DrivePulse.two_step(10.36e9, 1.2e6, 137.3e-9, tail=30e-9),
+    "segments": DrivePulse(10.36e9, (
+        PulseSegment(2.5e-9, 1e6 + 2e5j, "raised_cosine"),
+        PulseSegment(10e-9, 1e6 + 2e5j),
+        PulseSegment(0.35e-9, -3e5j, "raised_cosine"),
+        PulseSegment(0.05e-9, 4e5, "raised_cosine"),
+        PulseSegment(4e-9, 4e5),
+        PulseSegment(7.3e-9, 0.0, "raised_cosine"))),
+}
+
+
+class TestEnvelopeSampling:
+    @pytest.mark.parametrize("name", sorted(SAMPLED_PULSES))
+    def test_amplitudes_are_envelope_at_midpoints(self, name):
+        pulse = SAMPLED_PULSES[name]
+        t0, t1, amps = map(np.array, zip(*pulse.sample_intervals()))
+        assert t0[0] == 0.0 and np.array_equal(t0[1:], t1[:-1])
+        assert t1[-1] == pytest.approx(pulse.duration, rel=1e-12)
+        assert np.array_equal(amps, pulse.envelope(0.5 * (t0 + t1)))
+
+    @pytest.mark.parametrize("name", sorted(SAMPLED_PULSES))
+    def test_matches_math_cos_sampler(self, name):
+        pulse = SAMPLED_PULSES[name]
+        got = pulse.sample_intervals()
+        ref = list(sample_intervals_cos(pulse))
+        assert [iv[:2] for iv in got] == [iv[:2] for iv in ref]
+        amps = np.array([iv[2] for iv in got])
+        ref_amps = np.array([iv[2] for iv in ref])
+        peak = np.max(np.abs(ref_amps))
+        assert np.max(np.abs(amps - ref_amps)) <= 1e-14 * peak
+
+
 class TestDrivePhotonHelper:
     def test_round_trip(self, mux_net):
         f_d = 10.357e9

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from abcd_oracle import qubit_drive_voltage
 from notchlab import (BracketError, CoupledPairGeometry, EquivCap,
@@ -298,6 +299,22 @@ class TestNotchFromXi:
                 warnings.simplefilter("ignore")
                 assert enhancement_factor(f_q, f_n, f_bar) == pytest.approx(
                     xi, rel=1e-6)
+
+    @pytest.mark.parametrize("bar_lo,bar_hi", [(0.6, 0.99), (1.01, 1.5)],
+                             ids=["f_bar_below_f_q", "f_bar_above_f_q"])
+    def test_matches_brentq_reference(self, bar_lo, bar_hi):
+        # the bracketing solver notch_from_xi used before: same bracket and
+        # 1 Hz tolerance
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            f_q = rng.uniform(4e9, 9e9)
+            f_bar = f_q * rng.uniform(bar_lo, bar_hi)
+            xi = 10 ** rng.uniform(0.2, 4.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                ref = brentq(lambda f_n: enhancement_factor(f_q, f_n, f_bar)
+                             - xi, 0.3 * f_q, f_q * (1.0 - 1e-12), xtol=1.0)
+            assert abs(notch_from_xi(xi, f_q, f_bar) - ref) <= 2.0
 
     def test_unreachable_xi_is_bracket_error(self):
         # with f_q = f_bar, xi = ((f_q + f_n)/(2 f_q))^2 <= 1 below f_q
