@@ -16,8 +16,8 @@ import numpy as np
 
 from .errors import (DegenerateNotchError, PoleError, UnboundedCouplerError,
                      ValidationError)
-from .mtl import (TWO_PI, CoupledPairGeometry, LineParams, _freq_array,
-                  _scalar_or_array, notch_frequency)
+from .mtl import (TWO_PI, CoupledPairGeometry, LineParams, _float_range,
+                  _freq_array, _scalar_or_array, notch_frequency)
 
 # Degeneracy guard for Eq.-style J evaluation: |f_n - f_bar| below this
 # relative threshold is treated as the (physically suppressed) singular case.
@@ -173,11 +173,12 @@ def notch_branch(geom: CoupledPairGeometry) -> NotchLC:
     w_r = TWO_PI * geom.f_r
     w_p = TWO_PI * geom.f_p
     w_n = TWO_PI * notch_frequency(geom)
-    z_n = (line.z0 * 64.0 / math.pi ** 3
-           * math.cos(math.pi * w_n / (2.0 * w_r))
-           * math.cos(math.pi * w_n / (2.0 * w_p))
-           / ((w_r / w_n - w_n / w_r) * (w_p / w_n - w_n / w_p))
-           / r / math.sin(w_n * geom.len_c / line.v))
+    with _float_range("the notch branch impedance Z_n"):
+        z_n = (line.z0 * 64.0 / math.pi ** 3
+               * math.cos(math.pi * w_n / (2.0 * w_r))
+               * math.cos(math.pi * w_n / (2.0 * w_p))
+               / ((w_r / w_n - w_n / w_r) * (w_p / w_n - w_n / w_p))
+               / r / math.sin(w_n * geom.len_c / line.v))
     if not z_n > 0 or not math.isfinite(z_n):
         raise UnboundedCouplerError(f"Z_n = {z_n!r} is not a positive finite value")
     return NotchLC(c_n=1.0 / (w_n * z_n), l_n=z_n / w_n)
@@ -208,20 +209,21 @@ def j_mtl(geom: CoupledPairGeometry, exact: bool = False) -> float:
             "J expansion degrades", stacklevel=2)
     if geom.coupler.cm_over_c == 0:
         return 0.0
-    if exact:
-        branch = notch_branch(geom)
-        z_r = map_resonator(geom.ell_r, line).z
-        z_p = map_resonator(geom.ell_p, line).z
-        sq = math.sqrt(w_r * w_p)
-        j_ang = (math.sqrt(z_r * z_p) / (2.0 * branch.z_n)
-                 * sq * (sq / w_n - w_n / sq))
-    else:
-        ratio = w_bar / w_n
-        j_ang = (w_bar * math.pi ** 2 / 32.0
-                 * (ratio - 1.0 / ratio) ** 3
-                 / math.cos(math.pi / (2.0 * ratio)) ** 2
-                 * geom.coupler.cm_over_c
-                 * math.sin(w_n * geom.len_c / line.v))
+    with _float_range("J"):
+        if exact:
+            branch = notch_branch(geom)
+            z_r = map_resonator(geom.ell_r, line).z
+            z_p = map_resonator(geom.ell_p, line).z
+            sq = math.sqrt(w_r * w_p)
+            j_ang = (math.sqrt(z_r * z_p) / (2.0 * branch.z_n)
+                     * sq * (sq / w_n - w_n / sq))
+        else:
+            ratio = w_bar / w_n
+            j_ang = (w_bar * math.pi ** 2 / 32.0
+                     * (ratio - 1.0 / ratio) ** 3
+                     / math.cos(math.pi / (2.0 * ratio)) ** 2
+                     * geom.coupler.cm_over_c
+                     * math.sin(w_n * geom.len_c / line.v))
     return j_ang / TWO_PI
 
 

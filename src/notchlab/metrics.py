@@ -116,12 +116,12 @@ def t1_from_drive(p_w: float, omega_hz: float, f_d: float) -> float:
 def separation_error(snr: float) -> float:
     """Misassignment floor from the overlap of two projected Gaussians.
 
-    eps_sep = (1/2) (1 - erf(SNR/sqrt(8))) for SNR = |mu_g - mu_e| over the
-    mean standard deviation.
+    eps_sep = (1/2) erfc(SNR/sqrt(8)) for SNR = |mu_g - mu_e| over the
+    mean standard deviation; erfc keeps the tail that 1 - erf cancels.
     """
     if snr < 0:
         raise ValidationError("SNR must be >= 0")
-    return 0.5 * (1.0 - math.erf(snr / math.sqrt(8.0)))
+    return 0.5 * math.erfc(snr / math.sqrt(8.0))
 
 
 def coherence_limits(tau_meas: float, tau_buffer: float,

@@ -10,13 +10,14 @@ transfer impedances are purely imaginary.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BracketError, PoleError, ValidationError
+from .errors import BracketError, NumericalError, PoleError, ValidationError
 
 C_LIGHT = 299_792_458.0
 TWO_PI = 2.0 * math.pi
@@ -202,6 +203,16 @@ def _scalar_or_array(out: np.ndarray, scalar: bool, kind=complex):
     return kind(out[0]) if scalar else out
 
 
+@contextlib.contextmanager
+def _float_range(what: str):
+    """Raise NumericalError on a float overflow or zero divisor in the block."""
+    try:
+        yield
+    except (OverflowError, ZeroDivisionError):
+        raise NumericalError(f"{what} leaves the float range; a device "
+                             "parameter is too large or too small") from None
+
+
 def _guard_poles(f: np.ndarray, f_r: float, f_p: float, guard: float) -> None:
     if not guard > 0:  # also false for nan
         raise ValidationError("pole guard must be > 0")
@@ -231,12 +242,14 @@ def z21_general(geom: CoupledPairGeometry, f,
     v = line.v
     x = w * cpl.len_c / v
     sinc = np.where(x == 0.0, 1.0, np.sin(x) / np.where(x == 0.0, 1.0, x))
-    zm2 = cpl.zm_over_z0 ** 2
-    a_plus = (1.0 + zm2) * sinc * np.cos(
-        w * (geom.l_r_short + geom.l_p_short + cpl.len_c) / v)
-    a_minus = (1.0 - zm2) * np.cos(w * (geom.l_r_short - geom.l_p_short) / v)
-    c_m = cpl.cm_over_c * line.c_per_len
-    num = 1j * line.z0 ** 2 * w * cpl.len_c * c_m * (a_plus - a_minus)
+    with _float_range("Z21"):
+        zm2 = cpl.zm_over_z0 ** 2
+        a_plus = (1.0 + zm2) * sinc * np.cos(
+            w * (geom.l_r_short + geom.l_p_short + cpl.len_c) / v)
+        a_minus = (1.0 - zm2) * np.cos(
+            w * (geom.l_r_short - geom.l_p_short) / v)
+        c_m = cpl.cm_over_c * line.c_per_len
+        num = 1j * line.z0 ** 2 * w * cpl.len_c * c_m * (a_plus - a_minus)
     den = 2.0 * np.cos(0.5 * w / (2.0 * f_r)) * np.cos(0.5 * w / (2.0 * f_p))
     return _scalar_or_array(num / den, scalar)
 
@@ -271,8 +284,9 @@ def z21_capacitive(geom: CoupledPairGeometry, f,
     f, scalar = _freq_array(f)
     _guard_poles(f, f_r, f_p, pole_guard_hz)
     w = TWO_PI * f
-    num = (-1j * line.z0 ** 2 * np.sin(w * geom.l_r_short / line.v)
-           * np.sin(w * geom.l_p_short / line.v) * w * geom.c_j)
+    with _float_range("Z21"):
+        num = (-1j * line.z0 ** 2 * np.sin(w * geom.l_r_short / line.v)
+               * np.sin(w * geom.l_p_short / line.v) * w * geom.c_j)
     den = np.cos(0.5 * w / (2.0 * f_r)) * np.cos(0.5 * w / (2.0 * f_p))
     return _scalar_or_array(num / den, scalar)
 

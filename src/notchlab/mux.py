@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (CompositionPoleError, NumericalError, PassivityError,
                      SingularSystemError, ValidationError)
@@ -492,6 +491,7 @@ def propagate(net: MuxNetwork, state: str, pulse: DrivePulse,
     _, first, which = np.unique(np.round(hs, 18), return_index=True,
                                 return_inverse=True)
     aug = np.block([[1j * a, d[:, None]], [np.zeros((1, dim + 1))]])
+    from scipy.linalg import expm
     ops = []
     for h in hs[first]:
         big = expm(aug * h)

@@ -17,7 +17,6 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
 
 from .errors import ValidationError
 from .mtl import TWO_PI
@@ -264,6 +263,7 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
         theta0_init, tau_init = _prefit_delay(net0, spectra, cfg.theta0,
                                               cfg.tau)
     x0 = _pack(net0, theta0_init, tau_init, free)
+    from scipy.optimize import least_squares, minimize
     res = least_squares(residuals, x0, jac=jacobian, method="lm",
                         xtol=cfg.xtol, ftol=cfg.ftol, gtol=cfg.gtol,
                         max_nfev=cfg.max_eval)

@@ -335,8 +335,8 @@ class TestCliCommands:
 class TestNumericalFailuresExit3:
     """Device values whose results overflow or whose coupler degenerates.
 
-    Each exits 3 with a message on stderr: no traceback, no warning and no
-    --out file.
+    Each exits 3 with a message on stderr: no traceback and no --out file,
+    and no warning outside the L1 cases.
     """
 
     PULSE = json.dumps({"carrier_mhz": 10224.0, "two_step": {
@@ -378,6 +378,45 @@ class TestNumericalFailuresExit3:
         err = capsys.readouterr().err
         assert err.startswith("numerical error: ") and message in err
         assert "Traceback" not in err and caught == []
+        assert not out.exists()
+
+    SWEEP = {"z21": ["--fmin", "8e9", "--fmax", "9e9", "--points", "11"],
+             "design": [], "purcell": FLAGS["purcell"][2:]}
+
+    @pytest.mark.parametrize("command,pair,section,key,message", [
+        ("z21", "Q1", "line", "z0_ohm", "Z21"),
+        ("z21", "Cap", "line", "z0_ohm", "Z21"),
+        ("z21", "Q1", "coupler", "zm_over_z0", "Z21"),
+        ("design", "Q1", "pair", "l_r_short_um", "J"),
+        ("design", "Q1", "pair", "l_p_short_um", "J"),
+        ("purcell", "Q1", "pair", "l_r_short_um", "impedance Z_n"),
+        ("purcell", "Q1", "pair", "l_r_open_um", "J"),
+        ("purcell", "Q1", "pair", "l_p_short_um", "impedance Z_n"),
+        ("purcell", "Q1", "pair", "l_p_open_um", "J"),
+        ("purcell", "Q1", "coupler", "len_um", "impedance Z_n"),
+    ], ids=["z21-z0", "z21-cap-z0", "z21-zm_over_z0", "design-l_r_short",
+            "design-l_p_short", "purcell-l_r_short", "purcell-l_r_open",
+            "purcell-l_p_short", "purcell-l_p_open", "purcell-len_c"])
+    def test_l1_overflow_exit_3(self, tmp_path, capsys, command, pair,
+                                section, key, message):
+        # a 1e300 length or impedance overflows, or underflows a divisor
+        # to zero, in the closed forms of mtl and equiv; j_mtl's detuning
+        # and weak-coupling warnings may fire on the way
+        raw = json.loads(paper_device_path().read_text())
+        q1 = next(g for g in raw["geometry"] if g["name"] == "Q1")
+        {"line": raw["line"], "pair": q1, "coupler": q1["coupler"]}[
+            section][key] = 1e300
+        dev = tmp_path / "dev.json"
+        dev.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        argv = [command, "--device", str(dev), "--pair", pair,
+                *self.SWEEP[command], "--out", str(out)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ")
+        assert f"{message} leaves the float range" in err
         assert not out.exists()
 
     def test_overflowing_drive_exit_3(self, device_path, tmp_path, capsys):
@@ -638,3 +677,75 @@ def test_cli_import_leaves_out_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+# Runs each phase's commands through cli.run in one interpreter and prints,
+# per phase, the exit codes and the scipy modules loaded so far.
+_IMPORT_PHASES = """
+import json, sys
+from notchlab.cli import run
+seen = {}
+for phase, argvs in json.loads(sys.argv[1]).items():
+    codes = [run(argv) for argv in argvs]
+    seen[phase] = codes, sorted(m for m in sys.modules
+                                if m.split(".")[0] == "scipy")
+print(json.dumps(seen))
+"""
+
+
+def test_cli_loads_scipy_only_where_used(device_path, tmp_path):
+    # scipy.optimize alone is about 0.5 s of a cold start: every command but
+    # these three must run without loading any scipy module
+    from notchlab import synth_spectrum
+
+    net = load_device(device_path).mux_network()
+    grid = np.linspace(10.0e9, 10.9e9, 201)
+    for state in "ge":
+        spec = synth_spectrum(net, state, 0.4, 0.2e-9, grid, 0.0)
+        write_csv(tmp_path / f"{state}.csv", ["freq_hz", "phase_rad"],
+                  list(zip(spec.freq_hz, spec.phase_rad)))
+    (tmp_path / "shots.csv").write_text(_shots_csv())
+    (tmp_path / "stark.csv").write_text(STARK_OK)
+    dev = ["--device", str(device_path)]
+    pulse = json.dumps({"carrier_mhz": 10357.0, "rectangular": {
+        "amplitude": 1e6, "duration_ns": 20.0}})
+
+    def out(name):
+        return ["--out", str(tmp_path / name)]
+
+    phases = {
+        "numpy_only": [
+            ["notch", *dev, "--pair", "Q1"],
+            ["design", *dev, *out("design.csv")],
+            ["device", *dev, *out("device.json")],
+            ["modes", *dev, *out("modes.json")],
+            ["z21", *dev, "--pair", "Q1", "--fmin", "8.0e9", "--fmax",
+             "8.5e9", "--points", "11", *out("z21.csv")],
+            ["reflect", *dev, "--fmin", "10.0e9", "--fmax", "10.9e9",
+             "--points", "11", *out("reflect.csv")],
+            ["purcell", *dev, "--pair", "Q1", "--fmin", "7.8e9", "--fmax",
+             "8.8e9", "--points", "11", *out("purcell.csv")],
+            ["budget", "--shots", str(tmp_path / "shots.csv"),
+             "--tau-meas-ns", "56", "--t1-us", "26", *out("budget.json")],
+            ["calibrate", "--stark", str(tmp_path / "stark.csv"),
+             *out("calibrate.json")],
+        ],
+        "simulate": [["simulate", *dev, "--pulse", pulse, "--dt-ns", "1.0",
+                      *out("trace.csv")]],
+        "fit": [["fit", *dev, "--spec-g", str(tmp_path / "g.csv"),
+                 "--spec-e", str(tmp_path / "e.csv"), *out("fit.json")]],
+    }
+    src = str(Path(notchlab.cli.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PHASES, json.dumps(phases)], env=env,
+        check=True, capture_output=True, text=True)
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    for phase, argvs in phases.items():
+        assert seen[phase][0] == [0] * len(argvs), proc.stderr
+    assert seen["numpy_only"][1] == []
+    loaded = seen["simulate"][1]
+    assert "scipy.linalg" in loaded and "scipy.optimize" not in loaded
+    assert "scipy.optimize" in seen["fit"][1]

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.constants import hbar
+from scipy.stats import norm
 
 from notchlab import (QubitCoupling, ReadoutCounts, ValidationError,
                       coherence_limits, error_budget, fidelities,
@@ -223,7 +224,13 @@ class TestSeparationError:
         snrs = np.linspace(0, 12, 200)
         vals = [separation_error(s) for s in snrs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
-        assert separation_error(50.0) == 0.0  # erf saturates
+        assert 0 < separation_error(50.0) < 1e-130
+
+    def test_matches_normal_tail(self):
+        # the misassignment is the normal tail beyond half the separation
+        snrs = np.linspace(0, 50, 501)
+        vals = [separation_error(s) for s in snrs]
+        np.testing.assert_allclose(vals, norm.sf(snrs / 2), rtol=1e-12)
 
 
 class TestCoherenceLimits:
