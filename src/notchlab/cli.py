@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
@@ -50,7 +51,7 @@ def _cmd_z21(args) -> int:
     grid = _grid(args)
     z21 = mtl.z21_auto(geom, grid, pole_guard_hz=args.tol)
     write_csv(args.out, ["freq_hz", "im_z21_ohm"],
-              zip(grid.tolist(), z21.imag.tolist()))
+              np.column_stack([grid, z21.imag]))
     return 0
 
 
@@ -88,8 +89,7 @@ def _cmd_reflect(args) -> int:
     grid = _grid(args)
     gam = mux.gamma_incident(net, args.state, grid)
     write_csv(args.out, ["freq_hz", "re_gamma", "im_gamma", "phase_rad"],
-              zip(grid.tolist(), gam.real.tolist(), gam.imag.tolist(),
-                  np.angle(gam).tolist()))
+              np.column_stack([grid, gam.real, gam.imag, np.angle(gam)]))
     return 0
 
 
@@ -125,19 +125,15 @@ def _parse_pulse(spec: str) -> mux.DrivePulse:
         raise ValidationError(f"malformed pulse description: {exc}")
 
 
-def _trace_rows(tr: mux.FieldTraces) -> list:
-    cols = [tr.t]
-    for p, r in zip(tr.p, tr.r):
-        cols += [p.real, p.imag, r.real, r.imag]
-    return np.column_stack(cols + [tr.s_out.real, tr.s_out.imag]).tolist()
-
-
-def _trace_header(net: mux.MuxNetwork) -> list[str]:
-    header = ["time_s"]
-    for ch in net.channels:
+def _trace_table(net: mux.MuxNetwork, tr: mux.FieldTraces):
+    """Header and columns of the simulate CSV, one channel's four at a time."""
+    header, cols = ["time_s"], [tr.t]
+    for ch, p, r in zip(net.channels, tr.p, tr.r):
         header += [f"re_p_{ch.name}", f"im_p_{ch.name}",
                    f"re_r_{ch.name}", f"im_r_{ch.name}"]
-    return header + ["re_sout", "im_sout"]
+        cols += [p.real, p.imag, r.real, r.imag]
+    return (header + ["re_sout", "im_sout"],
+            np.column_stack(cols + [tr.s_out.real, tr.s_out.imag]))
 
 
 def _cmd_simulate(args) -> int:
@@ -145,7 +141,7 @@ def _cmd_simulate(args) -> int:
     net = dev.mux_network()
     pulse = _parse_pulse(args.pulse)
     tr = mux.propagate(net, args.state, pulse, args.dt_ns * 1e-9)
-    write_csv(args.out, _trace_header(net), _trace_rows(tr))
+    write_csv(args.out, *_trace_table(net, tr))
     return 0
 
 
@@ -156,7 +152,7 @@ def _cmd_separation(args) -> int:
     res = mux.separation(net, args.pair, pulse, args.dt_ns * 1e-9)
     if args.out:
         write_csv(args.out, ["time_s", "separation"],
-                  np.column_stack([res.t, res.s]).tolist())
+                  np.column_stack([res.t, res.s]))
     print(f"S_ss = {res.s_ss:.9g}")
     print(f"Gamma_m = {res.gamma_m:.9g} 1/s")
     return 0
@@ -189,8 +185,7 @@ def _cmd_purcell(args) -> int:
         warnings.simplefilter("ignore")
         xi = purcell.enhancement_factor(grid, f_n, f_bar)
     write_csv(args.out, ["freq_hz", "t1_mtl_s", "t1_cap_s", "xi"],
-              zip(grid.tolist(), t_mtl.t1_s.tolist(), t_cap.t1_s.tolist(),
-                  xi.tolist()))
+              np.column_stack([grid, t_mtl.t1_s, t_cap.t1_s, xi]))
     return 0
 
 
@@ -321,6 +316,7 @@ def _cmd_device(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process; never mutated after
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="notchlab",
@@ -425,9 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(argv=None) -> int:
     """Entry point returning the exit code (0 ok, 2 validation, 3 numerical)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
@@ -440,7 +435,8 @@ def run(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except NumericalError as exc:
+    except (NumericalError, OverflowError, ZeroDivisionError,
+            FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
 

@@ -2,7 +2,8 @@
 
 All files are UTF-8 with LF line endings; floats are printed with 9
 significant digits so repeated runs and canonicalization round trips are
-byte-identical.  A path of None writes the same bytes to stdout.
+byte-identical.  A path of None writes the same bytes to stdout.  A CSV
+of floats given as one 2-D array is formatted a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ import contextlib
 import json
 import math
 import sys
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -54,23 +57,33 @@ def _format_cell(x) -> str:
     return format_float(x)
 
 
+_BLOCK_ROWS = 1024  # rows per "%": bounds the CSV text held in memory
+
+
 def write_csv(path, header: list[str], rows) -> None:
     """Write rows of numbers/strings under an exact header.
 
-    Rows of floats only, the shape every sweep writes, go through one
-    format template; rows holding str, bool or int are formatted per cell.
+    A 2-D float ndarray, as every sweep writes, must match the header width
+    before the file opens; it is formatted one block of rows per "%".  Any
+    other rows are formatted per cell.
     """
-    template = ",".join(["%.9g"] * len(header)) + "\n"
+    as_array = isinstance(rows, np.ndarray) and rows.dtype.kind == "f"
+    if as_array and (rows.ndim != 2 or rows.shape[1] != len(header)):
+        raise ValidationError(f"array of shape {rows.shape} does not fit "
+                              f"a header of width {len(header)}")
     with _sink(path) as fh:
         fh.write(",".join(header) + "\n")
+        if as_array:
+            template = ",".join(["%.9g"] * len(header)) + "\n"
+            for start in range(0, len(rows), _BLOCK_ROWS):
+                block = rows[start:start + _BLOCK_ROWS]
+                fh.write(template * len(block) % tuple(block.ravel().tolist()))
+            return
         for row in rows:
             if len(row) != len(header):
                 raise ValidationError(
                     f"row width {len(row)} != header width {len(header)}")
-            if any(isinstance(x, (str, int)) for x in row):
-                fh.write(",".join(_format_cell(x) for x in row) + "\n")
-            else:
-                fh.write(template % tuple(row))
+            fh.write(",".join(map(_format_cell, row)) + "\n")
 
 
 def _json_dumps(obj, indent: int = 0) -> str:

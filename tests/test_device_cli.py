@@ -82,6 +82,12 @@ class TestDeviceFile:
 
 
 class TestEmission:
+    # write_csv's 2-D float array path must give the per-cell path's bytes
+    # for these values
+    VALUES = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 1 / 3,
+              np.float64(math.pi) * 1e-7, -2.5e9, 0.0, 1.0]
+    HEADER = ["a", "b", "c"]
+
     def test_float_format_nine_digits(self):
         assert format_float(math.pi) == "3.14159265"
         assert format_float(8.2776850306e9) == "8.27768503e+09"
@@ -107,6 +113,30 @@ class TestEmission:
         write_csv(path, ["a"], [(1.0,), (2.0,)])
         raw = path.read_bytes()
         assert b"\r" not in raw
+
+    @pytest.mark.parametrize("n_rows", [0, 1, 1023, 1024, 1025])
+    def test_bytes_equal_per_cell(self, tmp_path, capsys, n_rows):
+        table = np.resize(np.array(self.VALUES), (n_rows, 3))
+        outs = {}
+        for name, rows in (("array", table), ("floats", table.tolist()),
+                           ("float64", list(table))):
+            write_csv(tmp_path / name, self.HEADER, rows)
+            outs[name] = (tmp_path / name).read_bytes()
+        capsys.readouterr()
+        write_csv(None, self.HEADER, table)
+        outs["stdout"] = capsys.readouterr().out.encode()
+        assert outs["array"].count(b"\n") == n_rows + 1
+        assert all(raw == outs["array"] for raw in outs.values())
+        if n_rows:
+            assert outs["array"].splitlines()[1] == b"nan,inf,-inf"
+
+    @pytest.mark.parametrize("shape", [(4, 2), (4, 4), (3,), (0,),
+                                       (2, 3, 1)])
+    def test_bad_shape_rejected_before_file(self, tmp_path, shape):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValidationError, match="does not fit"):
+            write_csv(path, self.HEADER, np.zeros(shape))
+        assert not path.exists()
 
 
 class TestCliCommands:
@@ -313,6 +343,33 @@ class TestCliCommands:
                     "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_sweeps_hand_write_csv_an_array(self, device_path, tmp_path,
+                                            monkeypatch, capsys):
+        # every float table reaches write_csv as one 2-D array, so it takes
+        # the block-formatting path and not the per-cell one
+        handed = {}
+
+        def spy(path, header, rows):
+            handed[header[1]] = rows
+            return write_csv(path, header, rows)
+
+        monkeypatch.setattr(notchlab.cli, "write_csv", spy)
+        pulse = json.dumps({"carrier_mhz": 10357.0, "rectangular": {
+            "amplitude": 1e6, "duration_ns": 20.0}})
+        sweep = ["--fmin", "7.8e9", "--fmax", "8.8e9", "--points", "11"]
+        for argv in (["z21", "--pair", "Q1", *sweep],
+                     ["reflect", *sweep],
+                     ["purcell", "--pair", "Q1", *sweep],
+                     ["simulate", "--pulse", pulse],
+                     ["separation", "--pair", "Q2", "--pulse", pulse]):
+            assert run([argv[0], "--device", str(device_path), *argv[1:],
+                        "--out", str(tmp_path / argv[0])]) == 0
+        assert sorted(handed) == ["im_z21_ohm", "re_gamma", "re_p_Q1",
+                                  "separation", "t1_mtl_s"]
+        for rows in handed.values():
+            assert isinstance(rows, np.ndarray)
+            assert rows.ndim == 2 and rows.dtype == np.float64
+
     @pytest.mark.parametrize("argv", [
         ["modes", "--state", "gegg"],
         ["device"],
@@ -418,6 +475,26 @@ class TestNumericalFailuresExit3:
         assert err.startswith("numerical error: ")
         assert f"{message} leaves the float range" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("exc", [
+        OverflowError("math range error"),
+        ZeroDivisionError("float division by zero"),
+        FloatingPointError("overflow encountered in multiply"),
+        np.linalg.LinAlgError("Singular matrix"),
+    ], ids=lambda exc: type(exc).__name__)
+    def test_escaping_float_error_exit_3(self, device_path, capsys,
+                                         monkeypatch, exc):
+        # a float error that no check turned into NumericalError still ends
+        # in exit 3 with a message, not in a traceback
+        def fail(*_args, **_kwargs):
+            raise exc
+
+        monkeypatch.setattr(notchlab.mtl, "notch_frequency", fail)
+        assert run(["notch", "--device", str(device_path),
+                    "--pair", "Q1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"numerical error: {exc}\n"
 
     def test_overflowing_drive_exit_3(self, device_path, tmp_path, capsys):
         pulse = json.dumps({"carrier_mhz": 10224.0, "rectangular": {

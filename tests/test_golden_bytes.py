@@ -52,3 +52,20 @@ def test_output_bytes_match_golden(key, entry, tmp_path):
         code = cli.run(WORKLOADS.cli_argv(entry, out))
     assert code == 0
     assert WORKLOADS.sha256(out) == GOLDEN[key]
+
+
+def test_cached_parser_keeps_no_state_between_runs(tmp_path, capsys):
+    # one parser serves every cli.run of a process: failed parses must not
+    # leak into the next command, and a defaulted --state must stay None
+    assert cli.build_parser() is cli.build_parser()
+    device = str(WORKLOADS.DEVICE)
+    assert cli.run(["no-such-command", "--device", device]) == 2
+    assert cli.run(["notch", "--device", device]) == 2  # --pair missing
+    assert "--pair" in capsys.readouterr().err
+    for key in ("sweep_grid/reflect_default/0", "sweep_grid/z21_cap/0"):
+        workload, cmd, k = key.split("/")
+        out = tmp_path / cmd
+        entry = WORKLOADS.MENUS[workload][cmd][int(k)]
+        assert cli.run(WORKLOADS.cli_argv(entry, out)) == 0
+        assert WORKLOADS.sha256(out) == GOLDEN[key]
+    assert cli.build_parser() is cli.build_parser()
