@@ -99,7 +99,7 @@ def _parse_pulse(spec: str) -> mux.DrivePulse:
     else:
         try:
             raw = json.loads(spec)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValidationError(f"--pulse is neither a file nor JSON: {exc}")
     try:
         f_d = raw["carrier_mhz"] * _MHZ

@@ -2,16 +2,16 @@
 
 The on-disk JSON uses the units the design tables are quoted in (lengths in
 micrometres, frequencies in MHz); the library speaks SI.  Conversion happens
-here and only here.  Unknown keys are rejected by the schema.
+here and only here.  The module walks DEVICE_SCHEMA itself, a JSON Schema
+that rejects unknown keys; every number must also be finite.
 """
 
 from __future__ import annotations
 
 import importlib.resources
 import math
+import sys
 from dataclasses import dataclass, field
-
-import jsonschema
 
 from .errors import ValidationError
 from .io import read_json
@@ -134,9 +134,54 @@ DEVICE_SCHEMA = {
     },
 }
 
-# Checking DEVICE_SCHEMA against the meta-schema costs more than validating
-# a device file, so it is done once, in the tests, not on every load.
-_VALIDATOR = jsonschema.Draft202012Validator(DEVICE_SCHEMA)
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float)}
+
+
+def _schema_error(value, schema=DEVICE_SCHEMA, path=()):
+    """(path, reason) of the first place value breaks schema, or None.
+
+    JSON meaning: a bool is no number, an int is one, and oneOf takes
+    exactly one branch.  A number must be finite too: bounds pass NaN.
+    """
+    if "oneOf" in schema:
+        errors = [_schema_error(value, s, path) for s in schema["oneOf"]]
+        if None in errors:
+            return (None if errors.count(None) == 1
+                    else (path, "matches more than one oneOf branch"))
+        # the deepest failure of a branch whose const matched tells most
+        return max(errors, key=lambda e: (not e[1].startswith("must be "),
+                                          len(e[0])))
+    kind = schema.get("type")
+    if kind and (not isinstance(value, _TYPES[kind])
+                 or isinstance(value, bool)):
+        return path, f"expected {kind}, got {type(value).__name__}"
+    if "const" in schema and value != schema["const"]:
+        return path, f"must be {schema['const']!r}"
+    if kind == "number":
+        if not abs(value) <= sys.float_info.max:  # NaN, inf, a huge int
+            return path, "non-finite number"
+        if not (value >= schema.get("minimum", value)
+                and value > schema.get("exclusiveMinimum", -math.inf)
+                and value < schema.get("exclusiveMaximum", math.inf)):
+            return path, f"{value!r} is out of range"
+    if kind == "string" and len(value) < schema.get("minLength", 0):
+        return path, f"{value!r} is too short"
+    if kind == "array":
+        for i, item in enumerate(value):
+            if err := _schema_error(item, schema["items"], path + (i,)):
+                return err
+    if kind == "object":
+        props = schema.get("properties", {})
+        for key, item in value.items():
+            if key in props:
+                if err := _schema_error(item, props[key], path + (key,)):
+                    return err
+            elif schema.get("additionalProperties") is False:
+                return path, f"unexpected key {key!r}"
+        for key in schema.get("required", ()):
+            if key not in value:
+                return path, f"missing required key {key!r}"
+    return None
 
 
 @dataclass(frozen=True)
@@ -179,44 +224,11 @@ def _coupler_from_json(obj) -> MtlCouplerParams | float:
     return float(obj["c_j_f"])
 
 
-def _non_finite(obj, path=()):
-    """Path to the first number in obj that is not a finite float, or None."""
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        try:
-            return None if math.isfinite(obj) else path
-        except OverflowError:  # an integer beyond the float range
-            return path
-    if isinstance(obj, dict):
-        items = obj.items()
-    elif isinstance(obj, list):
-        items = enumerate(obj)
-    else:
-        return None
-    for key, val in items:
-        found = _non_finite(val, path + (key,))
-        if found is not None:
-            return found
-    return None
-
-
-def _json_path(path) -> str:
-    return "/".join(str(p) for p in path) or "(root)"
-
-
 def device_from_dict(raw: dict) -> Device:
-    """Validate a parsed device JSON object and convert to SI.
-
-    NaN, infinities and integers beyond the float range are rejected first:
-    the schema's numeric bounds let them through.
-    """
-    bad = _non_finite(raw)
-    if bad is not None:
-        raise ValidationError(f"device file invalid at {_json_path(bad)}: "
-                              "non-finite number")
-    exc = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(raw))
-    if exc is not None:
-        raise ValidationError(f"device file invalid at "
-                              f"{_json_path(exc.absolute_path)}: {exc.message}")
+    """Validate a parsed device JSON object and convert to SI."""
+    if err := _schema_error(raw):
+        where = "/".join(map(str, err[0])) or "(root)"
+        raise ValidationError(f"device file invalid at {where}: {err[1]}")
     line = LineParams(z0=raw["line"]["z0_ohm"], v=raw["line"]["v_m_per_s"])
     z0_line = raw["line"].get("z0_line_ohm", 50.0)
     shunt = ShuntLC(c_shunt=raw["shunt"]["c_f"], l_shunt=raw["shunt"]["l_h"])

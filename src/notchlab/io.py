@@ -37,7 +37,7 @@ def read_json(path, what: str):
             return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
-    except ValueError as exc:  # invalid JSON or invalid UTF-8
+    except (ValueError, RecursionError) as exc:  # bad JSON/UTF-8, too deep
         raise ValidationError(f"{what} {path} is not valid JSON: {exc}") \
             from exc
 

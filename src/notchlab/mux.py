@@ -430,7 +430,8 @@ class FieldTraces:
             raise ValidationError("field traces must match the grid")
 
 
-def _check_passivity(net: MuxNetwork, a: np.ndarray) -> None:
+def _eig_tolerance(net: MuxNetwork, a: np.ndarray) -> float:
+    """1e-6 of the largest 2 pi kappa_p; NumericalError if a cannot meet it."""
     tol = 1e-6 * max(TWO_PI * ch.kappa_p for ch in net.channels)
     # eigenvalues are good to about eps * max|A|; past the tolerance (or
     # with inf/nan entries) rounding decides the sign of Im lambda
@@ -439,6 +440,11 @@ def _check_passivity(net: MuxNetwork, a: np.ndarray) -> None:
         raise NumericalError(
             f"system matrix entries reach {scale:.3g} rad/s, too large to "
             "resolve its eigenvalues; a parameter overflows the float range")
+    return tol
+
+
+def _check_passivity(net: MuxNetwork, a: np.ndarray) -> None:
+    tol = _eig_tolerance(net, a)
     lam = np.linalg.eigvals(a)
     if not np.all(np.isfinite(lam)):
         raise NumericalError("system matrix eigenvalues are not finite")
@@ -557,6 +563,7 @@ class NormalMode:
 def _eigensolve(net: MuxNetwork, state: str):
     a, _ = system_matrix(net, state, f_d=net.channels[0].f_p,
                          absolute=True, gamma_shunt=1.0)
+    _eig_tolerance(net, a)
     lam, vec = np.linalg.eig(a)
     vec = vec / np.linalg.norm(vec, axis=0, keepdims=True)
     return lam, vec

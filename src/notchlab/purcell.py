@@ -18,7 +18,7 @@ import numpy as np
 from .equiv import (EquivCap, LumpedPair, LumpedResonator, NotchLC,
                     _lc_admittance, equivalent_pair, j_mtl, map_resonator,
                     two_port_z)
-from .errors import BracketError, ValidationError
+from .errors import BracketError, NumericalError, ValidationError
 from .mtl import (TWO_PI, CoupledPairGeometry, _freq_array, _scalar_or_array,
                   find_zero, z21_auto)
 
@@ -63,7 +63,13 @@ class ShuntLC:
         return 1.0 / (TWO_PI * math.sqrt(self.l_shunt * self.c_shunt))
 
     def admittance(self, f):
-        return _lc_admittance(f, self.c_shunt, self.l_shunt)
+        # a huge L only sends 1/(w L) to 0; a huge C leaves no finite value
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = _lc_admittance(f, self.c_shunt, self.l_shunt)
+        if not np.all(np.isfinite(y)):
+            raise NumericalError("shunt admittance is not finite; a shunt "
+                                 "element overflows the float range")
+        return y
 
     def impedance(self, f) -> complex:
         f, scalar = _freq_array(f)

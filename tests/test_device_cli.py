@@ -1,7 +1,10 @@
 import argparse
+import copy
+import functools
 import inspect
 import json
 import math
+import operator
 import os
 import re
 import subprocess
@@ -12,13 +15,16 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import notchlab.cli
-from notchlab import ValidationError
+from notchlab import NumericalError, ValidationError
 from notchlab.cli import build_parser, run
-from notchlab.device import (DEVICE_SCHEMA, device_from_dict, device_to_dict,
-                             load_device, load_paper_device,
+from notchlab.device import (DEVICE_SCHEMA, _schema_error, device_from_dict,
+                             device_to_dict, load_device, load_paper_device,
                              paper_device_path)
+from notchlab.mux import mode_dispersive_shifts, normal_modes
 from notchlab.io import format_float, write_csv, write_json
 
 
@@ -79,6 +85,140 @@ class TestDeviceFile:
         dev2 = load_device(p1)
         write_json(p2, device_to_dict(dev2))
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def _json_paths(node, path=()):
+    """Every path into a parsed JSON document, the root's () first."""
+    yield path
+    if isinstance(node, (dict, list)):
+        keys = node if isinstance(node, dict) else range(len(node))
+        for key in keys:
+            yield from _json_paths(node[key], path + (key,))
+
+
+def _all_finite(node):
+    if isinstance(node, dict):
+        return all(map(_all_finite, node.values()))
+    if isinstance(node, list):
+        return all(map(_all_finite, node))
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        try:
+            return math.isfinite(node)
+        except OverflowError:
+            return False
+    return True
+
+
+def _schema_keywords(schema):
+    """(keyword, value) of every schema node in a DEVICE_SCHEMA-like tree."""
+    for kw, val in schema.items():
+        yield kw, val
+    subs = [*schema.get("properties", {}).values(), *schema.get("oneOf", ())]
+    if "items" in schema:
+        subs.append(schema["items"])
+    for sub in subs:
+        yield from _schema_keywords(sub)
+
+
+# the paper device with every optional key present at least once
+PAPER_RAW = json.loads(paper_device_path().read_text())
+PAPER_RAW["channels"][0].update(gamma_r_mhz=0.1, gamma_p_mhz=0.2)
+PAPER_RAW["qubits"][0]["c_q_f"] = 1e-13
+PATHS = list(_json_paths(PAPER_RAW))
+LEAVES = [p for p in PATHS if not isinstance(
+    functools.reduce(operator.getitem, p, PAPER_RAW), (dict, list))]
+VALIDATOR = jsonschema.Draft202012Validator(DEVICE_SCHEMA)
+REPLACEMENTS = [None, True, "x", "", [], {}, 0, -1, 1e300, math.nan,
+                math.inf, -math.inf, 10 ** 400]
+MUTATION = st.one_of(
+    st.tuples(st.just("delete"), st.sampled_from(PATHS[1:])),
+    st.tuples(st.just("add"), st.sampled_from(PATHS)),
+    st.tuples(st.just("retype"),
+              st.sampled_from([p for p in PATHS if p[-1:] == ("coupler",)])),
+    st.tuples(st.sampled_from(REPLACEMENTS), st.sampled_from(PATHS)),
+)
+
+
+def _mutate(raw, op, path):
+    """raw with one mutation at path; unchanged if path no longer exists.
+
+    op is "delete", "add" (an unknown key), "retype" (swap a coupler's
+    const type) or else the value to put at path.
+    """
+    try:
+        parent = functools.reduce(operator.getitem, path[:-1], raw)
+        node = parent[path[-1]] if path else raw
+    except (KeyError, IndexError, TypeError):
+        return raw
+    if op == "delete":
+        del parent[path[-1]]
+    elif op == "add":
+        if isinstance(node, dict):
+            node["unknown_key"] = 1.0
+    elif op == "retype":
+        if isinstance(node, dict):
+            node["type"] = "capacitive" if node.get("type") == "mtl" else "mtl"
+    elif path:
+        parent[path[-1]] = op
+    else:
+        return op
+    return raw
+
+
+class TestSchemaWalker:
+    """device's own walk over DEVICE_SCHEMA against jsonschema's reading."""
+
+    # every keyword the walker reads; DEVICE_SCHEMA may use no other
+    KEYWORDS = {"type", "required", "properties", "additionalProperties",
+                "items", "oneOf", "const", "minimum", "exclusiveMinimum",
+                "exclusiveMaximum", "minLength"}
+
+    def test_schema_uses_only_walked_keywords(self):
+        used = list(_schema_keywords(DEVICE_SCHEMA))
+        assert {kw for kw, _ in used} - {"$schema"} <= self.KEYWORDS
+        src = inspect.getsource(_schema_error)
+        assert all(f'"{kw}"' in src for kw in self.KEYWORDS)
+        # the walker knows these types and reads additionalProperties as a
+        # bool, not as a schema
+        assert {val for kw, val in used if kw == "type"} <= {
+            "object", "array", "string", "number"}
+        assert all(isinstance(val, bool) for kw, val in used
+                   if kw == "additionalProperties")
+
+    @settings(derandomize=True, max_examples=300, deadline=None,
+              database=None)
+    @given(st.lists(MUTATION, min_size=1, max_size=3))
+    def test_agrees_with_jsonschema(self, mutations):
+        raw = copy.deepcopy(PAPER_RAW)
+        for op, path in mutations:
+            raw = _mutate(raw, op, path)
+        expected = VALIDATOR.is_valid(raw) and _all_finite(raw)
+        assert (_schema_error(raw) is None) == expected
+
+    def test_agrees_on_each_leaf_replacement(self):
+        # every value at every leaf once: bounds that one key alone carries
+        # (cm_over_c < 1, a non-empty name) are rare in the random mixes
+        assert _schema_error(PAPER_RAW) is None
+        assert VALIDATOR.is_valid(PAPER_RAW)
+        for path in LEAVES:
+            for value in REPLACEMENTS:
+                raw = _mutate(copy.deepcopy(PAPER_RAW), value, path)
+                expected = VALIDATOR.is_valid(raw) and _all_finite(raw)
+                assert (_schema_error(raw) is None) == expected, (path, value)
+
+    @pytest.mark.parametrize("op,path,message", [
+        ("delete", ("channels", 2, "chi_mhz"),
+         "channels/2: missing required key 'chi_mhz'"),
+        # the oneOf branch whose const matches is the one reported
+        ("retype", ("geometry", 0, "coupler"),
+         "geometry/0/coupler: unexpected key 'len_um'"),
+        (True, ("shunt", "l_h"), "shunt/l_h: expected number, got bool"),
+    ])
+    def test_error_names_path_and_key(self, op, path, message):
+        raw = _mutate(copy.deepcopy(PAPER_RAW), op, path)
+        with pytest.raises(ValidationError,
+                           match=f"^device file invalid at {message}$"):
+            device_from_dict(raw)
 
 
 class TestEmission:
@@ -496,6 +636,52 @@ class TestNumericalFailuresExit3:
         assert captured.out == ""
         assert captured.err == f"numerical error: {exc}\n"
 
+    def test_modes_overflow_exit_3(self, tmp_path, capsys):
+        # rounding at 2 pi 1e300 MHz swamps every linewidth; unchecked, the
+        # modes came out with negative kappa and an ambiguity warning
+        raw = json.loads(paper_device_path().read_text())
+        raw["channels"][0]["f_r_g_mhz"] = 1e300
+        dev = tmp_path / "dev.json"
+        dev.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(["modes", "--device", str(dev), "--state", "gggg",
+                        "--out", str(out)]) == 3
+            net = load_device(dev).mux_network()
+            for solve in (lambda: normal_modes(net, "gggg"),
+                          lambda: mode_dispersive_shifts(net, "Q1")):
+                with pytest.raises(NumericalError,
+                                   match="too large to resolve"):
+                    solve()
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ")
+        assert "too large to resolve its eigenvalues" in err
+        assert caught == [] and not out.exists()
+
+    @pytest.mark.parametrize("key,code", [("c_f", 3), ("l_h", 0)])
+    @pytest.mark.parametrize("command", ["purcell", "simulate"])
+    def test_huge_shunt_element(self, tmp_path, capsys, command, key, code):
+        # 1e300 F leaves no finite shunt admittance; 1e300 H only sends
+        # 1/(w L) to zero, a finite result reached without a warning
+        raw = json.loads(paper_device_path().read_text())
+        raw["shunt"][key] = 1e300
+        dev = tmp_path / "dev.json"
+        dev.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        argv = [command, "--device", str(dev), *self.FLAGS[command],
+                "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv) == code
+        err = capsys.readouterr().err
+        assert caught == [] and out.exists() == (code == 0)
+        if code == 3:
+            assert err == ("numerical error: shunt admittance is not finite; "
+                           "a shunt element overflows the float range\n")
+        else:
+            assert err == ""
+
     def test_overflowing_drive_exit_3(self, device_path, tmp_path, capsys):
         pulse = json.dumps({"carrier_mhz": 10224.0, "rectangular": {
             "amplitude": 1.7e308, "duration_ns": 20}})
@@ -557,6 +743,25 @@ class TestJsonInputs:
         assert run(["budget", "--snr", "8", "--tau-meas-ns", "56", "--t1-us",
                     "26", "--counts", str(path), "--out", str(out)]) == 0
         assert json.loads(out.read_text())["f"] == pytest.approx(0.9875)
+
+    def test_deep_nesting_exit_2(self, device_path, tmp_path, capsys):
+        # json's decoder raises RecursionError, no ValueError, past about
+        # a thousand nested levels
+        deep = "[" * 10_000 + "]" * 10_000
+        path = tmp_path / "deep.json"
+        path.write_text(deep)
+        out = tmp_path / "out"
+        simulate = ["simulate", "--device", str(device_path), "--pulse"]
+        for argv, detail in (
+                (["device", "--device", str(path)], "device file"),
+                (simulate + [str(path)], "pulse file"),
+                (simulate + [deep], "--pulse is neither a file nor JSON"),
+                (["budget", "--snr", "8", "--tau-meas-ns", "56", "--t1-us",
+                  "26", "--counts", str(path)], "counts file")):
+            assert run(argv + ["--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and detail in err
+        assert not out.exists()
 
 
 class TestSizeCaps:
@@ -826,3 +1031,20 @@ def test_cli_loads_scipy_only_where_used(device_path, tmp_path):
     loaded = seen["simulate"][1]
     assert "scipy.linalg" in loaded and "scipy.optimize" not in loaded
     assert "scipy.optimize" in seen["fit"][1]
+
+
+def test_cli_never_loads_jsonschema(device_path, tmp_path):
+    # jsonschema is a test dependency: device files are checked by the walk
+    # over DEVICE_SCHEMA in notchlab.device
+    src = str(Path(notchlab.cli.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    argv = ["device", "--device", str(device_path),
+            "--out", str(tmp_path / "device.json")]
+    code = ("import sys, notchlab.cli; "
+            f"code = notchlab.cli.run({argv!r}); "
+            "print(code, 'jsonschema' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "False"]
