@@ -238,6 +238,11 @@ def device_from_dict(raw: dict) -> Device:
         dup = next((nm for i, nm in enumerate(names) if nm in names[:i]), None)
         if dup is not None:
             raise ValidationError(f"duplicate {kind} name {dup!r}")
+        for i, item in enumerate(raw[key]):  # finite MHz can overflow in Hz
+            for k in (k for k in item if k.endswith("_mhz")):
+                if not math.isfinite(item[k] * _MHZ):
+                    raise ValidationError(f"device file invalid at {key}/{i}/"
+                                          f"{k}: {item[k]:.6g} MHz overflows")
     geometry = {g["name"]: CoupledPairGeometry(
         **{k: g[f"{k}_um"] * _UM for k in _SEGMENT_FIELDS},
         coupler=_coupler_from_json(g["coupler"]), line=line)

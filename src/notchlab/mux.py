@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -453,15 +454,20 @@ def _check_passivity(net: MuxNetwork, a: np.ndarray) -> None:
             f"system matrix has a growing mode (Im lambda = {np.min(lam.imag):.3g})")
 
 
-def propagate(net: MuxNetwork, state: str, pulse: DrivePulse,
-              dt_out: float) -> FieldTraces:
+def propagate(net: MuxNetwork, state: str | Sequence[str], pulse: DrivePulse,
+              dt_out: float) -> FieldTraces | tuple[FieldTraces, ...]:
     """Integrate the driven coupled-mode equations from zero initial state.
 
     The system is linear and time-invariant within each envelope sample, so
     each step applies the exact matrix exponential; there is no step-size
-    error beyond the piecewise-constant envelope sampling.
+    error beyond the piecewise-constant envelope sampling.  A sequence of
+    states gives a tuple of FieldTraces in its order, from one shared step
+    loop; each is bit-identical to propagating its state alone.
     """
-    state = validate_state(net, state)
+    scalar = isinstance(state, str)
+    states = [validate_state(net, s) for s in ([state] if scalar else state)]
+    if not states:
+        raise ValidationError("propagate needs at least one state")
     if not dt_out > 0:
         raise ValidationError("dt_out must be > 0")
     t_end = pulse.duration
@@ -474,10 +480,10 @@ def propagate(net: MuxNetwork, state: str, pulse: DrivePulse,
         raise ValidationError(
             f"a {t_end:.3g} s pulse at dt_out = {dt_out:.3g} s needs up to "
             f"{n_steps:.3g} time steps; the limit is {MAX_SAMPLES}")
-    a, d = system_matrix(net, state, pulse.f_d)
-    _check_passivity(net, a)
-    n = net.n
-    dim = 2 * n
+    systems = [system_matrix(net, s, pulse.f_d) for s in states]
+    for a, _ in systems:
+        _check_passivity(net, a)
+    n, dim = net.n, 2 * net.n
 
     n_out = int(math.floor(t_end / dt_out + 1e-9))
     out_times = np.arange(n_out + 1) * dt_out
@@ -493,37 +499,42 @@ def propagate(net: MuxNetwork, state: str, pulse: DrivePulse,
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     us = amps[np.maximum(np.searchsorted(starts, mids, side="right") - 1, 0)]
 
-    # one expm per step length rounded to 1e-18 s, from its first step
+    # one expm per state and step length rounded to 1e-18 s, from its first
+    # step; e_ops[i, j] x + f_ops[i, j] u advances state j by step length i
     _, first, which = np.unique(np.round(hs, 18), return_index=True,
                                 return_inverse=True)
-    aug = np.block([[1j * a, d[:, None]], [np.zeros((1, dim + 1))]])
+    augs = [np.block([[1j * a, d[:, None]], [np.zeros((1, dim + 1))]])
+            for a, d in systems]
     from scipy.linalg import expm
-    ops = []
-    for h in hs[first]:
-        big = expm(aug * h)
-        ops.append((big[:dim, :dim], big[:dim, dim]))
+    big = np.array([[expm(aug * h) for aug in augs] for h in hs[first]])
+    e_ops, f_ops = big[..., :dim, :dim], big[..., :dim, dim:]
 
-    x = np.zeros(dim, dtype=complex)
-    xs = np.zeros((hs.size + 1, dim), dtype=complex)  # last row: not reached
+    # a (dim, 1) column per state; the last row, never written, is x at t = 0
+    xs = np.zeros((hs.size + 1, len(states), dim, 1), dtype=complex)
+    x = xs[-1]
     gs = shunt_reflection(net.shunt, net.z0_line, pulse.f_d)
     s_in = np.asarray(pulse.envelope(out_times), dtype=complex)
     root_k = np.sqrt(np.array([TWO_PI * ch.kappa_p for ch in net.channels]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (i, u) in enumerate(zip(which.tolist(), us)):
-            e_h, f_h = ops[i]
-            x = e_h @ x + f_h * u
-            xs[k] = x
+        # the drive terms f_ops u, built 1024 steps at a time to bound memory
+        for b in range(0, hs.size, 1024):
+            steps = which[b:b + 1024]
+            fu = f_ops[steps] * us[b:b + 1024, None, None, None]
+            for k, i in enumerate(steps.tolist(), b):
+                x = np.add(np.matmul(e_ops[i], x), fu[k - b], out=xs[k])
         # an output time takes the state after the first step that reaches it
-        states = np.zeros((out_times.size, dim), dtype=complex)
-        states[1:] = xs[np.searchsorted(cuts[1:] + 1e-15, out_times[1:])]
-        p = states[:, :n].T
-        r = states[:, n:].T
-        s_out = gs * s_in - 0.5 * (1.0 + gs) * (root_k @ p)
-    if not (np.all(np.isfinite(states)) and np.all(np.isfinite(s_out))):
+        fields = np.zeros((len(states), out_times.size, dim), dtype=complex)
+        reached = np.searchsorted(cuts[1:] + 1e-15, out_times[1:])
+        fields[:, 1:] = xs[reached, :, :, 0].swapaxes(0, 1)
+        s_out = [gs * s_in - 0.5 * (1.0 + gs) * (root_k @ f[:, :n].T)
+                 for f in fields]
+    if not (np.all(np.isfinite(fields)) and np.all(np.isfinite(s_out))):
         raise NumericalError("propagated field traces are not finite; a "
                              "parameter or the drive overflows the float range")
-    return FieldTraces(t=out_times, p=p, r=r, s_out=s_out, s_in=s_in,
-                       f_d=pulse.f_d, state=state)
+    traces = tuple(FieldTraces(t=out_times, p=f[:, :n].T, r=f[:, n:].T,
+                               s_out=s_o, s_in=s_in, f_d=pulse.f_d, state=s)
+                   for f, s_o, s in zip(fields, s_out, states))
+    return traces[0] if scalar else traces
 
 
 def steady_state(net: MuxNetwork, state: str, f_d: float,
@@ -700,8 +711,7 @@ def separation(net: MuxNetwork, target: str, pulse: DrivePulse,
     # the cheap frequency-domain values first: they fail fast on overflow
     g_g = gamma_incident(net, state_g, pulse.f_d)
     g_e = gamma_incident(net, state_e, pulse.f_d)
-    tr_g = propagate(net, state_g, pulse, dt_out)
-    tr_e = propagate(net, state_e, pulse, dt_out)
+    tr_g, tr_e = propagate(net, (state_g, state_e), pulse, dt_out)
     s = np.abs(tr_e.s_out - tr_g.s_out)
     gs = shunt_reflection(net.shunt, net.z0_line, pulse.f_d)
     root_k = math.sqrt(TWO_PI * net.channels[idx].kappa_p)

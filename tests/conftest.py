@@ -1,11 +1,30 @@
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from notchlab.device import load_paper_device
+
+# the same examples on every run, no stored failures, no per-example timing
+settings.register_profile("notchlab", database=None, derandomize=True,
+                          deadline=None)
+settings.load_profile("notchlab")
+
+
+def pytest_configure(config):
+    # hypothesis caches the constants it mines from the source at collection,
+    # example database or not: keep that cache out of the checkout
+    config.hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+    set_hypothesis_home_dir(config.hypothesis_home.name)
+
+
+def pytest_unconfigure(config):
+    config.hypothesis_home.cleanup()
 
 
 @pytest.fixture(scope="session")

@@ -1,7 +1,9 @@
 import argparse
+import contextlib
 import copy
 import functools
 import inspect
+import io
 import json
 import math
 import operator
@@ -15,7 +17,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import notchlab.cli
@@ -76,6 +78,24 @@ class TestDeviceFile:
         with pytest.raises(ValidationError,
                            match=f"channels/1/{key}: non-finite"):
             device_from_dict(raw)
+
+    @pytest.mark.parametrize("section,key", [("channels", "f_r_g_mhz"),
+                                             ("qubits", "f_q_mhz")])
+    def test_mhz_value_overflowing_in_hz_rejected(self, tmp_path, capsys,
+                                                  section, key):
+        # finite in the file, inf once scaled by 1e6
+        raw = json.loads(paper_device_path().read_text())
+        raw[section][0][key] = 1e305
+        with pytest.raises(ValidationError, match=f"^device file invalid at "
+                           f"{section}/0/{key}: 1e\\+305 MHz overflows$"):
+            device_from_dict(raw)
+        dev = tmp_path / "dev.json"
+        dev.write_text(json.dumps(raw))
+        assert run(["device", "--device", str(dev)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: device file invalid at "
+                                       f"{section}/0/{key}")
 
     def test_round_trip_canonical(self, tmp_path, device_path):
         dev = load_device(device_path)
@@ -185,8 +205,7 @@ class TestSchemaWalker:
         assert all(isinstance(val, bool) for kw, val in used
                    if kw == "additionalProperties")
 
-    @settings(derandomize=True, max_examples=300, deadline=None,
-              database=None)
+    @settings(max_examples=300)
     @given(st.lists(MUTATION, min_size=1, max_size=3))
     def test_agrees_with_jsonschema(self, mutations):
         raw = copy.deepcopy(PAPER_RAW)
@@ -693,6 +712,69 @@ class TestNumericalFailuresExit3:
         err = capsys.readouterr().err
         assert "field traces are not finite" in err and caught == []
         assert not out.exists()
+
+
+NUMERIC_LEAVES = [p for p in LEAVES if type(
+    functools.reduce(operator.getitem, p, PAPER_RAW)) in (int, float)]
+
+
+class TestMutatedDeviceCli:
+    """simulate and separation on a perturbed paper device, in-process.
+
+    Each run ends in exit 0 with finite output, or exit 2 or 3 with a
+    message and no output file; never a traceback or a warning.
+    """
+
+    PULSES = [json.dumps({"carrier_mhz": 10224.0, "rectangular": {
+                  "amplitude": 1e6, "duration_ns": 10}}),
+              json.dumps({"carrier_mhz": 10224.0, "two_step": {
+                  "plateau_amplitude": 1e6, "plateau_duration_ns": 4}})]
+    PERTURBATION = st.tuples(st.sampled_from([0, -1, 1e-9, 1e12, 1e300]),
+                             st.sampled_from(NUMERIC_LEAVES))
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("mutated")
+
+    @settings(max_examples=100)
+    @given(st.lists(PERTURBATION, min_size=1, max_size=3, unique=True),
+           st.sampled_from(["simulate", "separation"]),
+           st.sampled_from(PULSES))
+    # overflow cases the draws may miss: a shunt element or J at 1e300
+    @example([(1e300, ("shunt", "c_f"))], "simulate", PULSES[1])
+    @example([(1e300, ("shunt", "l_h"))], "separation", PULSES[1])
+    @example([(1e300, ("channels", 0, "j_mhz"))], "simulate", PULSES[0])
+    def test_exit_code_and_finite_output(self, workdir, perturbations,
+                                         command, pulse):
+        raw = copy.deepcopy(PAPER_RAW)
+        for value, path in perturbations:
+            raw = _mutate(raw, value, path)
+        dev, out = workdir / "dev.json", workdir / "out.csv"
+        dev.write_text(json.dumps(raw))
+        out.unlink(missing_ok=True)
+        argv = [command, "--device", str(dev), "--pulse", pulse,
+                "--dt-ns", "1", "--out", str(out)]
+        if command == "separation":
+            argv += ["--pair", "Q1"]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = run(argv)
+        assert caught == []
+        err = stderr.getvalue()
+        if code == 0:
+            assert err == ""
+            table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+            assert table.size and np.all(np.isfinite(table))
+            values = re.findall(r"= (\S+)", stdout.getvalue())
+            assert all(math.isfinite(float(v)) for v in values)
+        else:
+            assert code in (2, 3)
+            prefix = "error: " if code == 2 else "numerical error: "
+            assert err.startswith(prefix) and "Traceback" not in err
+            assert not out.exists()
 
 
 COUNTS_OK = {"no_pulse": [[990, 10], [20, 980]],

@@ -648,6 +648,90 @@ class TestPropagateGuards:
         with pytest.raises(NumericalError, match="eigenvalues are not finite"):
             propagate(mux_net, "gggg", pulse, 1e-9)
 
+    def test_step_cap_before_sampling_for_two_states(self, mux_net,
+                                                     monkeypatch):
+        def no_sampling(self):
+            raise AssertionError("sample_intervals ran past the cap")
+        monkeypatch.setattr(DrivePulse, "sample_intervals", no_sampling)
+        short = DrivePulse.rectangular(10.36e9, 1e6, 100e-9)
+        with pytest.raises(ValidationError, match="the limit is 1000000"):
+            propagate(mux_net, ("gggg", "gegg"), short,
+                      100e-9 / (10 ** 6 + 1))
+
+    def test_every_state_checked_before_any_expm(self, mux_net, monkeypatch):
+        calls = []
+
+        def counted_expm(m):
+            calls.append(m)
+            return expm(m)
+        monkeypatch.setattr("scipy.linalg.expm", counted_expm)
+        # chi overflows the readout frequency of Q1 in e only: "gggg" alone
+        # propagates, "eggg" fails its passivity check
+        net = dataclasses.replace(mux_net, channels=(
+            dataclasses.replace(mux_net.channels[0], chi=1e300),
+            *mux_net.channels[1:]))
+        pulse = DrivePulse.rectangular(10.36e9, 1e6, 10e-9)
+        propagate(net, "gggg", pulse, 1e-9)
+        assert calls
+        calls.clear()
+        with pytest.raises(NumericalError, match="too large to resolve"):
+            propagate(net, ("gggg", "eggg"), pulse, 1e-9)
+        assert calls == []
+
+
+class TestPropagateStates:
+    """propagate over a sequence of states: one step loop, same bits."""
+
+    @pytest.mark.parametrize("dt_out", [0.25e-9, 0.3e-9, 0.5e-9])
+    @pytest.mark.parametrize("tail", [0.0, 30e-9])
+    @pytest.mark.parametrize("states", [("gggg", "gegg"), ("gegg", "gggg"),
+                                        ("gegg", "gegg")],
+                             ids=["g-e", "e-g", "repeated"])
+    def test_bit_identical_to_one_state_at_a_time(self, mux_net, dt_out,
+                                                  tail, states):
+        f_d = QUBIT_TABLE["Q2"][6] * 1e6
+        pulse = DrivePulse.two_step(f_d, 1.2e6, 137.3e-9, tail=tail)
+        traces = propagate(mux_net, states, pulse, dt_out)
+        assert isinstance(traces, tuple) and len(traces) == len(states)
+        for tr, state in zip(traces, states):
+            alone = propagate(mux_net, state, pulse, dt_out)
+            p, r, s_out = propagate_per_step(mux_net, state, pulse, dt_out)
+            assert tr.state == state
+            for name in ("t", "p", "r", "s_out", "s_in"):
+                assert np.array_equal(getattr(tr, name), getattr(alone, name))
+            assert np.array_equal(tr.p, p)
+            assert np.array_equal(tr.r, r)
+            assert np.array_equal(tr.s_out, s_out)
+
+    def test_list_gives_tuple_and_one_state_gives_traces(self, mux_net):
+        pulse = DrivePulse.rectangular(10.36e9, 1e6, 10e-9)
+        one = propagate(mux_net, ["gggg"], pulse, 1e-9)
+        assert isinstance(one, tuple) and len(one) == 1
+        assert np.array_equal(one[0].s_out,
+                              propagate(mux_net, "gggg", pulse, 1e-9).s_out)
+
+    @pytest.mark.parametrize("states", [(), [], ("gggg", "gxgg"),
+                                        ("ggg", "gggg"), ("gggg", "ggggg")],
+                             ids=["empty-tuple", "empty-list", "bad-letter",
+                                  "short-first", "long-last"])
+    def test_bad_sequence_rejected(self, mux_net, states):
+        pulse = DrivePulse.rectangular(10.36e9, 1e6, 10e-9)
+        with pytest.raises(ValidationError):
+            propagate(mux_net, states, pulse, 1e-9)
+
+    def test_separation_propagates_once(self, mux_net, monkeypatch):
+        calls = []
+        real = notchlab.mux.propagate
+
+        def spy(net, state, pulse, dt_out):
+            calls.append(state)
+            return real(net, state, pulse, dt_out)
+        monkeypatch.setattr(notchlab.mux, "propagate", spy)
+        pulse = DrivePulse.two_step(QUBIT_TABLE["Q3"][6] * 1e6, 1e6, 50e-9)
+        res = separation(mux_net, "Q3", pulse, 0.5e-9)
+        assert calls == [("gggg", "ggeg")]
+        assert (res.traces_g.state, res.traces_e.state) == ("gggg", "ggeg")
+
 
 class TestCriticalPhoton:
     def test_table_values(self, mux_net):
