@@ -30,6 +30,8 @@ def photons_from_stark(delta_ac: float, chi: float) -> float:
     n = Delta_ac / (2 chi).  The shift and the dispersive shift must share a
     sign for a physical (positive) photon number.
     """
+    if not (math.isfinite(delta_ac) and math.isfinite(chi)):
+        raise ValidationError("Stark shift and chi must be finite")
     if chi == 0:
         raise ValidationError("chi must be nonzero")
     n = delta_ac / (2.0 * chi)
@@ -102,12 +104,12 @@ def t1_from_drive(p_w: float, omega_hz: float, f_d: float) -> float:
 
     T1 = 4 P / (Omega^2 hbar w_d) with Omega and w_d in angular units.
     """
-    if not omega_hz > 0:
-        raise ValidationError("drive amplitude must be > 0")
-    if not f_d > 0:
-        raise ValidationError("drive frequency must be > 0")
-    if p_w < 0:
-        raise ValidationError("power must be >= 0")
+    if not 0 < omega_hz < math.inf:
+        raise ValidationError("drive amplitude must be finite and > 0")
+    if not 0 < f_d < math.inf:
+        raise ValidationError("drive frequency must be finite and > 0")
+    if not 0 <= p_w < math.inf:
+        raise ValidationError("power must be finite and >= 0")
     return 4.0 * p_w / ((TWO_PI * omega_hz) ** 2 * hbar * TWO_PI * f_d)
 
 

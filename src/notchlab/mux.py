@@ -522,9 +522,11 @@ def propagate(net: MuxNetwork, state: str | Sequence[str], pulse: DrivePulse,
             fu = f_ops[steps] * us[b:b + 1024, None, None, None]
             for k, i in enumerate(steps.tolist(), b):
                 x = np.add(np.matmul(e_ops[i], x), fu[k - b], out=xs[k])
-        # an output time takes the state after the first step that reaches it
+        # an output time takes the state after the first step that reaches
+        # it; one rounded past t_end takes the state at the end of the pulse
         fields = np.zeros((len(states), out_times.size, dim), dtype=complex)
-        reached = np.searchsorted(cuts[1:] + 1e-15, out_times[1:])
+        reached = np.minimum(np.searchsorted(cuts[1:] + 1e-15, out_times[1:]),
+                             hs.size - 1)
         fields[:, 1:] = xs[reached, :, :, 0].swapaxes(0, 1)
         s_out = [gs * s_in - 0.5 * (1.0 + gs) * (root_k @ f[:, :n].T)
                  for f in fields]

@@ -13,7 +13,6 @@ channel's parameters only.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -76,6 +75,8 @@ class FitConfig:
     max_eval: int = 20000
 
     def __post_init__(self):
+        if not np.all(np.isfinite([self.theta0, self.tau])):
+            raise ValidationError("theta0 and tau must be finite")
         for tol in (self.xtol, self.ftol, self.gtol):
             if not tol > 0:
                 raise ValidationError("tolerances must be > 0")
@@ -93,8 +94,8 @@ class FitResult:
     residual_norm: float
     converged: bool
     chi_reported: bool
-    n_eval: int  # residual evaluations in all stages
-    n_jac: int  # Jacobian evaluations in all stages
+    n_eval: int  # residual evaluations
+    n_jac: int  # Jacobian evaluations
 
 
 def wrap_phase(x):
@@ -165,9 +166,9 @@ def _pack(net: MuxNetwork, theta0: float, tau: float, free: list[str]):
 
 
 def _unpack(x, net: MuxNetwork, theta0: float, tau: float, free: list[str]):
-    vals = {}
-    for name, xi in zip(free, x):
-        vals[name] = xi
+    # the model depends on J only through J^2: a step across J = 0 takes |x|
+    vals = {name: abs(xi) if name.startswith("j[") else xi
+            for name, xi in zip(free, x)}
     channels = []
     for i, ch in enumerate(net.channels):
         kw = {}
@@ -207,12 +208,11 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
                    cfg: FitConfig) -> FitResult:
     """Simultaneous least-squares fit of the g- and e-state phase spectra.
 
-    Levenberg-Marquardt on circular residuals with the analytic Jacobian
-    (_phase_jacobian); a Nelder-Mead restart kicks in if LM stalls, and LM
-    polishes its result.  With only one spectrum chi is unidentifiable and
-    is silently frozen (chi_reported = False).  Standard errors come from
-    the residual Jacobian at the solution.  Deterministic for identical
-    inputs.
+    One Levenberg-Marquardt pass on circular residuals with the analytic
+    Jacobian (_phase_jacobian); J is fit signed and reported as |J|.  With
+    only one spectrum chi is unidentifiable and is silently frozen
+    (chi_reported = False).  Standard errors come from the residual
+    Jacobian at the solution.  Deterministic for identical inputs.
     """
     net0 = cfg.initial
     fixed = set(cfg.fix)
@@ -239,6 +239,7 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
         spectra.append((spec_e, "e" * net0.n))
 
     n_eval = n_jac = 0
+    is_j = np.array([name.startswith("j[") for name in free])
 
     def residuals(x):
         nonlocal n_eval
@@ -254,7 +255,8 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
         nonlocal n_jac
         n_jac += 1
         net, _, _ = _unpack(x, net0, cfg.theta0, cfg.tau, free)
-        return _phase_jacobian(net, spectra, free)
+        d_abs = np.where(is_j, np.sign(x), 1.0)  # _unpack takes |x| for j
+        return _phase_jacobian(net, spectra, free) * d_abs
 
     theta0_init, tau_init = cfg.theta0, cfg.tau
     if "theta0" not in fixed and "tau" not in fixed:
@@ -263,28 +265,11 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
         theta0_init, tau_init = _prefit_delay(net0, spectra, cfg.theta0,
                                               cfg.tau)
     x0 = _pack(net0, theta0_init, tau_init, free)
-    from scipy.optimize import least_squares, minimize
+    from scipy.optimize import least_squares
     res = least_squares(residuals, x0, jac=jacobian, method="lm",
                         xtol=cfg.xtol, ftol=cfg.ftol, gtol=cfg.gtol,
                         max_nfev=cfg.max_eval)
-    if not res.success or not np.isfinite(res.cost):
-        # deterministic simplex restart, then polish with LM again
-        nm = minimize(lambda x: 0.5 * np.sum(residuals(x) ** 2), res.x,
-                      method="Nelder-Mead",
-                      options={"maxiter": 4000, "xatol": 1e-10, "fatol": 1e-12})
-        res2 = least_squares(residuals, nm.x, jac=jacobian, method="lm",
-                             xtol=cfg.xtol, ftol=cfg.ftol, gtol=cfg.gtol,
-                             max_nfev=cfg.max_eval)
-        if res2.cost <= res.cost:
-            res = res2
-
     net_f, th_f, ta_f = _unpack(res.x, net0, cfg.theta0, cfg.tau, free)
-    for ch in net_f.channels:
-        if ch.kappa_p <= 0 or ch.j < 0:
-            warnings.warn(
-                f"fitted channel {ch.name!r} sits at a physical bound "
-                f"(kappa_p = {ch.kappa_p:.3g}, j = {ch.j:.3g})", stacklevel=2)
-
     stderr = _standard_errors(res, free, net0.n)
     if not chi_reported:
         stderr["chi"] = None

@@ -379,6 +379,22 @@ class TestCliCommands:
         assert len(header) == 4 * 4 + 3
         assert header[0] == "time_s" and header[-2:] == ["re_sout", "im_sout"]
 
+    def test_simulate_sample_rounded_past_the_pulse_end(self, device_path,
+                                                         tmp_path):
+        # 10 x 10 us lands 5e-15 s past the 99999.999995 ns pulse: the last
+        # sample takes the state at the end of the pulse, not zeros
+        out = tmp_path / "trace.csv"
+        pulse = json.dumps({"carrier_mhz": 10357.0, "rectangular": {
+            "amplitude": 1e8, "duration_ns": 99999.999995}})
+        assert run(["simulate", "--device", str(device_path), "--pulse",
+                    pulse, "--dt-ns", "10000", "--out", str(out)]) == 0
+        data = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert data[-1, 0] == pytest.approx(1e-4)
+        # steady state long before: the mode columns repeat the row before
+        modes = data[-2:, 1:-2]
+        assert np.all(modes[-1] != 0)
+        np.testing.assert_allclose(modes[-1], modes[-2], rtol=1e-6)
+
     def test_separation_prints_steady_state(self, device_path, tmp_path,
                                             capsys):
         pulse = json.dumps({"carrier_mhz": 10357.0,
@@ -1010,6 +1026,37 @@ class TestToleranceAndNames:
         assert run([command, "--device", str(dev), *flags,
                     "--out", str(out)]) == 2
         assert "duplicate channel name 'Q1'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestNonFiniteFlags:
+    """A nan or inf number flag exits 2 with a message and writes nothing."""
+
+    @pytest.mark.parametrize("flag,value", [("--theta0", "nan"),
+                                            ("--tau-ns", "inf")])
+    def test_fit_exit_2(self, device_path, tmp_path, capsys, flag, value):
+        spec = tmp_path / "g.csv"
+        spec.write_text(SPEC_OK)
+        out = tmp_path / "fit.json"
+        assert run(["fit", "--device", str(device_path), "--spec-g",
+                    str(spec), flag, value, "--out", str(out)]) == 2
+        assert "theta0 and tau must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--delta-ac-hz", "nan", "--chi-hz", "1e6"],
+        ["--delta-ac-hz", "1e6", "--chi-hz", "nan"],
+        ["--delta-ac-hz", "inf", "--chi-hz", "1e6"],
+        ["--p-w", "nan", "--rabi-hz", "1e6", "--f-d-hz", "1e10"],
+        ["--p-w", "inf", "--rabi-hz", "1e6", "--f-d-hz", "1e10"],
+        ["--p-w", "1e-12", "--rabi-hz", "inf", "--f-d-hz", "1e10"],
+        ["--p-w", "1e-12", "--rabi-hz", "1e6", "--f-d-hz", "inf"],
+    ], ids=["delta-nan", "chi-nan", "delta-inf", "p-nan", "p-inf", "rabi-inf",
+            "f_d-inf"])
+    def test_calibrate_exit_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "cal.json"
+        assert run(["calibrate", *flags, "--out", str(out)]) == 2
+        assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
 
 
