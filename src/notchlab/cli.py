@@ -226,18 +226,17 @@ def _read_columns(path, what: str, columns: tuple[str, ...]) -> list:
     return [np.ascontiguousarray(table[name]) for name in columns]
 
 
-def _read_spectrum(path, state: str) -> specfit.PhaseSpectrum:
+def _read_spectrum(path) -> specfit.PhaseSpectrum:
     freq, phase = _read_columns(path, "spectrum", ("freq_hz", "phase_rad"))
-    return specfit.PhaseSpectrum(freq_hz=freq, phase_rad=phase, state=state)
+    return specfit.PhaseSpectrum(freq_hz=freq, phase_rad=phase)
 
 
 def _cmd_fit(args) -> int:
     dev = args.dev
-    spec_g = _read_spectrum(args.spec_g, "g")
-    spec_e = _read_spectrum(args.spec_e, "e") if args.spec_e else None
+    spec_g = _read_spectrum(args.spec_g)
+    spec_e = _read_spectrum(args.spec_e) if args.spec_e else None
     cfg = specfit.FitConfig(initial=dev.mux_network(), theta0=args.theta0,
-                            tau=args.tau_ns * 1e-9, xtol=args.tol,
-                            ftol=args.tol, gtol=args.tol)
+                            tau=args.tau_ns * 1e-9, tol=args.tol)
     result = specfit.fit_reflection(spec_g, spec_e, cfg)
     stderr = {key: val.tolist() if isinstance(val, np.ndarray) else val
               for key, val in result.stderr.items()}

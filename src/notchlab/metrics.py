@@ -15,11 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 from .mtl import TWO_PI
 from .mux import MuxNetwork, steady_state
 
 hbar = 1.0545718176461565e-34  # J s; h / 2 pi, the float scipy.constants holds
+GATE_SIGMA = 4.0  # leakage gate of shot_analysis: the paper's 4-sigma ellipses
 
 
 # ---------------------------------------------------------------- calibration
@@ -35,6 +36,8 @@ def photons_from_stark(delta_ac: float, chi: float) -> float:
     if chi == 0:
         raise ValidationError("chi must be nonzero")
     n = delta_ac / (2.0 * chi)
+    if not math.isfinite(n):
+        raise NumericalError("photon number Delta_ac / (2 chi) overflows")
     if n < 0:
         warnings.warn("Stark shift and chi disagree in sign; photon number "
                       "is negative", stacklevel=2)
@@ -110,7 +113,10 @@ def t1_from_drive(p_w: float, omega_hz: float, f_d: float) -> float:
         raise ValidationError("drive frequency must be finite and > 0")
     if not 0 <= p_w < math.inf:
         raise ValidationError("power must be finite and >= 0")
-    return 4.0 * p_w / ((TWO_PI * omega_hz) ** 2 * hbar * TWO_PI * f_d)
+    t1 = 4.0 * p_w / ((TWO_PI * omega_hz) ** 2 * hbar * TWO_PI * f_d)
+    if not math.isfinite(t1):
+        raise NumericalError("T1 = 4 P / (Omega^2 hbar w_d) overflows")
+    return t1
 
 
 # --------------------------------------------------------------- error budget
@@ -121,8 +127,8 @@ def separation_error(snr: float) -> float:
     eps_sep = (1/2) erfc(SNR/sqrt(8)) for SNR = |mu_g - mu_e| over the
     mean standard deviation; erfc keeps the tail that 1 - erf cancels.
     """
-    if snr < 0:
-        raise ValidationError("SNR must be >= 0")
+    if not 0 <= snr < math.inf:
+        raise ValidationError(f"SNR must be finite and >= 0, got {snr}")
     return 0.5 * math.erfc(snr / math.sqrt(8.0))
 
 
@@ -133,9 +139,11 @@ def coherence_limits(tau_meas: float, tau_buffer: float,
     eps_cl = tau_meas/(2 T1); the QND limit adds the buffer period between
     the two measurements, eps_cl_Q = (tau_buffer + tau_meas)/(2 T1).
     """
-    for name, v in (("tau_meas", tau_meas), ("tau_buffer", tau_buffer), ("t1", t1)):
-        if not v > 0:
-            raise ValidationError(f"{name} must be > 0")
+    for name, v in (("tau_meas", tau_meas), ("tau_buffer", tau_buffer)):
+        if not 0 < v < math.inf:
+            raise ValidationError(f"{name} must be finite and > 0, got {v}")
+    if not t1 > 0:  # t1 = inf is no relaxation: eps_cl = 0
+        raise ValidationError(f"t1 must be > 0, got {t1}")
     eps_cl = tau_meas / (2.0 * t1)
     eps_cl_q = tau_buffer / (2.0 * t1) + tau_meas / (2.0 * t1)
     return eps_cl, eps_cl_q
@@ -374,14 +382,13 @@ def _shot_labels(labels) -> np.ndarray:
     return np.array(codes, dtype=int)[inverse]
 
 
-def shot_analysis(iq: np.ndarray, labels, n_train: int = 20000,
-                  gate_sigma: float = 4.0) -> ShotAnalysis:
+def shot_analysis(iq: np.ndarray, labels, n_train: int = 20000) -> ShotAnalysis:
     """Discriminate labeled IQ shots and tag outliers.
 
     Fits a bivariate normal per prepared state, fits Fisher's linear
     discriminant (closed form, so it exists also for separable shots) on the
     first n_train shots (in input order) and classifies the remainder.
-    Shots outside both gate_sigma confidence ellipses are leakage suspects:
+    Shots outside both GATE_SIGMA confidence ellipses are leakage suspects:
     misassigned ones are 'diamonds', correctly assigned shots outside their
     own ellipse are 'triangles'.
     """
@@ -427,7 +434,7 @@ def shot_analysis(iq: np.ndarray, labels, n_train: int = 20000,
 
     ev = ~train if n_train < n else np.ones(n, dtype=bool)
     mis = (assigned != labels) & ev
-    r2 = sigma_ellipse_radius(gate_sigma) ** 2
+    r2 = sigma_ellipse_radius(GATE_SIGMA) ** 2
     out_g = _mahalanobis2(xy, mu_g, prec_g) > r2
     out_e = _mahalanobis2(xy, mu_e, prec_e) > r2
     outside_both = out_g & out_e

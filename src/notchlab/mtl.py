@@ -37,24 +37,16 @@ class LineParams:
 
     z0 : characteristic impedance (ohm)
     v : phase velocity (m/s)
-    eps_eff : optional effective relative permittivity; if given it must be
-        consistent with v.
     """
 
     z0: float
     v: float
-    eps_eff: float | None = None
 
     def __post_init__(self):
         if not self.z0 > 0:
             raise ValidationError(f"z0 must be > 0, got {self.z0}")
         if not 0 < self.v <= C_LIGHT:
             raise ValidationError(f"v must be in (0, c], got {self.v}")
-        if self.eps_eff is not None:
-            if abs(self.v * math.sqrt(self.eps_eff) - C_LIGHT) / C_LIGHT >= 1e-6:
-                raise ValidationError(
-                    "eps_eff inconsistent with v: require v*sqrt(eps_eff) = c"
-                )
 
     @property
     def c_per_len(self) -> float:

@@ -259,15 +259,14 @@ def gamma_incident(net: MuxNetwork, state: str, f_d) -> complex:
 
 
 def system_matrix(net: MuxNetwork, state: str, f_d: float,
-                  absolute: bool = False,
                   gamma_shunt: complex | None = None):
     """Coupled-mode matrix and drive vector, engineering convention.
 
     The field vector x = (p_1..p_N, r_1..r_N) evolves as
-    dx/dt = i A x + d s_in(t), with A in rad/s.  By default A carries drive
-    detunings (rotating frame at f_d) and the shunt reflection evaluated at
-    the carrier; absolute=True gives absolute frequencies and gamma_shunt
-    overrides the shunt value (the normal-mode computation uses 1).
+    dx/dt = i A x + d s_in(t), with A in rad/s.  A carries drive detunings
+    (rotating frame at f_d) and the shunt reflection evaluated at the
+    carrier; gamma_shunt overrides the shunt value.  The normal modes pass
+    f_d = 0 with gamma_shunt = 1, which gives absolute frequencies.
     """
     state = validate_state(net, state)
     n = net.n
@@ -279,8 +278,8 @@ def system_matrix(net: MuxNetwork, state: str, f_d: float,
     off = 0.25j * (1.0 + gs) * np.outer(root_k, root_k)
     a[:n, :n] = off
     for i, (ch, s) in enumerate(zip(net.channels, state)):
-        w_p = TWO_PI * (ch.f_p - (0.0 if absolute else f_d))
-        w_r = TWO_PI * (ch.f_r(s) - (0.0 if absolute else f_d))
+        w_p = TWO_PI * (ch.f_p - f_d)
+        w_r = TWO_PI * (ch.f_r(s) - f_d)
         a[i, i] += w_p + 0.5j * TWO_PI * ch.gamma_p
         a[n + i, n + i] = w_r + 0.5j * TWO_PI * ch.gamma_r
         a[i, n + i] = TWO_PI * ch.j
@@ -574,8 +573,7 @@ class NormalMode:
 
 
 def _eigensolve(net: MuxNetwork, state: str):
-    a, _ = system_matrix(net, state, f_d=net.channels[0].f_p,
-                         absolute=True, gamma_shunt=1.0)
+    a, _ = system_matrix(net, state, 0.0, gamma_shunt=1.0)
     _eig_tolerance(net, a)
     lam, vec = np.linalg.eig(a)
     vec = vec / np.linalg.norm(vec, axis=0, keepdims=True)

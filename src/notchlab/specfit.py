@@ -27,19 +27,17 @@ _GROUPS = ("f_r_g", "f_p", "j", "kappa_p", "chi", "gamma_r", "gamma_p")
 _SCALE = {"f_r_g": 1e9, "f_p": 1e9, "j": 1e6, "kappa_p": 1e6, "chi": 1e6,
           "gamma_r": 1e6, "gamma_p": 1e6, "theta0": 1.0, "tau": 1e-9}
 _DEFAULT_FIXED = ("gamma_r", "gamma_p")
+# ReadoutChannel bounds these groups at zero: the optimizer steps through a
+# signed x and the network takes |x|, so a trial step across zero is valid
+_MAGNITUDE = tuple(f"{g}[" for g in ("j", "kappa_p", "gamma_r", "gamma_p"))
 
 
 @dataclass(frozen=True)
 class PhaseSpectrum:
-    """Wrapped reflection phase on a frequency grid.
-
-    state labels the joint qubit preparation the spectrum was taken in
-    ("g" = all ground, "e" = all excited).
-    """
+    """Wrapped reflection phase on a frequency grid."""
 
     freq_hz: np.ndarray
     phase_rad: np.ndarray
-    state: str = "g"
 
     def __post_init__(self):
         f = np.asarray(self.freq_hz, dtype=float)
@@ -69,17 +67,14 @@ class FitConfig:
     theta0: float = 0.0
     tau: float = 0.0
     fix: tuple[str, ...] = _DEFAULT_FIXED
-    xtol: float = 1e-12
-    ftol: float = 1e-12
-    gtol: float = 1e-12
+    tol: float = 1e-12  # least_squares xtol, ftol and gtol
     max_eval: int = 20000
 
     def __post_init__(self):
         if not np.all(np.isfinite([self.theta0, self.tau])):
             raise ValidationError("theta0 and tau must be finite")
-        for tol in (self.xtol, self.ftol, self.gtol):
-            if not tol > 0:
-                raise ValidationError("tolerances must be > 0")
+        if not self.tol > 0:
+            raise ValidationError("tolerances must be > 0")
         for name in self.fix:
             if name not in _GROUPS + ("theta0", "tau"):
                 raise ValidationError(f"unknown fixed-parameter group {name!r}")
@@ -120,8 +115,7 @@ def synth_spectrum(net: MuxNetwork, state: str, theta0: float, tau: float,
     if noise_sd > 0:
         rng = np.random.default_rng(seed)
         phase = phase + rng.normal(0.0, noise_sd, grid.size)
-    return PhaseSpectrum(freq_hz=grid, phase_rad=wrap_phase(phase),
-                         state=state if state in ("g", "e") else "g")
+    return PhaseSpectrum(freq_hz=grid, phase_rad=wrap_phase(phase))
 
 
 def _prefit_delay(net0: MuxNetwork, spectra, theta0: float, tau: float):
@@ -166,8 +160,7 @@ def _pack(net: MuxNetwork, theta0: float, tau: float, free: list[str]):
 
 
 def _unpack(x, net: MuxNetwork, theta0: float, tau: float, free: list[str]):
-    # the model depends on J only through J^2: a step across J = 0 takes |x|
-    vals = {name: abs(xi) if name.startswith("j[") else xi
+    vals = {name: abs(xi) if name.startswith(_MAGNITUDE) else xi
             for name, xi in zip(free, x)}
     channels = []
     for i, ch in enumerate(net.channels):
@@ -209,10 +202,11 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
     """Simultaneous least-squares fit of the g- and e-state phase spectra.
 
     One Levenberg-Marquardt pass on circular residuals with the analytic
-    Jacobian (_phase_jacobian); J is fit signed and reported as |J|.  With
-    only one spectrum chi is unidentifiable and is silently frozen
-    (chi_reported = False).  Standard errors come from the residual
-    Jacobian at the solution.  Deterministic for identical inputs.
+    Jacobian (_phase_jacobian).  J, kappa_p and the internal linewidths are
+    fit signed and reported as magnitudes (_MAGNITUDE).  With only one
+    spectrum chi is unidentifiable and is silently frozen (chi_reported =
+    False).  Standard errors come from the residual Jacobian at the
+    solution.  Deterministic for identical inputs.
     """
     net0 = cfg.initial
     fixed = set(cfg.fix)
@@ -239,7 +233,7 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
         spectra.append((spec_e, "e" * net0.n))
 
     n_eval = n_jac = 0
-    is_j = np.array([name.startswith("j[") for name in free])
+    is_mag = np.array([name.startswith(_MAGNITUDE) for name in free])
 
     def residuals(x):
         nonlocal n_eval
@@ -255,7 +249,7 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
         nonlocal n_jac
         n_jac += 1
         net, _, _ = _unpack(x, net0, cfg.theta0, cfg.tau, free)
-        d_abs = np.where(is_j, np.sign(x), 1.0)  # _unpack takes |x| for j
+        d_abs = np.where(is_mag, np.sign(x), 1.0)  # _unpack takes |x|
         return _phase_jacobian(net, spectra, free) * d_abs
 
     theta0_init, tau_init = cfg.theta0, cfg.tau
@@ -267,7 +261,7 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
     x0 = _pack(net0, theta0_init, tau_init, free)
     from scipy.optimize import least_squares
     res = least_squares(residuals, x0, jac=jacobian, method="lm",
-                        xtol=cfg.xtol, ftol=cfg.ftol, gtol=cfg.gtol,
+                        xtol=cfg.tol, ftol=cfg.tol, gtol=cfg.tol,
                         max_nfev=cfg.max_eval)
     net_f, th_f, ta_f = _unpack(res.x, net0, cfg.theta0, cfg.tau, free)
     stderr = _standard_errors(res, free, net0.n)

@@ -395,6 +395,19 @@ class TestCliCommands:
         assert np.all(modes[-1] != 0)
         np.testing.assert_allclose(modes[-1], modes[-2], rtol=1e-6)
 
+    def test_segments_pulse_matches_rectangular(self, device_path, tmp_path):
+        # one flat segment is the rectangular pulse; a segment amplitude may
+        # be a complex string
+        outs = [tmp_path / "rect.csv", tmp_path / "segs.csv"]
+        pulses = [{"rectangular": {"amplitude": 1e6, "duration_ns": 40.0}},
+                  {"segments": [{"duration_ns": 40.0, "amplitude": "1e6+0j",
+                                 "edge": "flat"}]}]
+        for out, shape in zip(outs, pulses):
+            pulse = json.dumps({"carrier_mhz": 10357.0, **shape})
+            assert run(["simulate", "--device", str(device_path), "--pulse",
+                        pulse, "--dt-ns", "1.0", "--out", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_separation_prints_steady_state(self, device_path, tmp_path,
                                             capsys):
         pulse = json.dumps({"carrier_mhz": 10357.0,
@@ -514,6 +527,18 @@ class TestCliCommands:
         out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"
         assert run(["device", "--device", str(device_path),
                     "--out", str(out1)]) == 0
+        assert run(["device", "--device", str(out1),
+                    "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_device_without_qubits_round_trips(self, tmp_path):
+        raw = json.loads(paper_device_path().read_text())
+        raw["qubits"] = []
+        src = tmp_path / "dev.json"
+        src.write_text(json.dumps(raw))
+        out1, out2 = tmp_path / "c1.json", tmp_path / "c2.json"
+        assert run(["device", "--device", str(src), "--out", str(out1)]) == 0
+        assert '\n  "qubits": []\n' in out1.read_text()
         assert run(["device", "--device", str(out1),
                     "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
@@ -1058,6 +1083,44 @@ class TestNonFiniteFlags:
         assert run(["calibrate", *flags, "--out", str(out)]) == 2
         assert "must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestNonFiniteResults:
+    """An overflowing calibrate result exits 3; a non-finite budget input
+    exits 2.  Either names the quantity and writes nothing."""
+
+    @pytest.mark.parametrize("flags,quantity", [
+        (["--p-w", "1e308", "--rabi-hz", "1e-3", "--f-d-hz", "1"], "T1"),
+        (["--delta-ac-hz", "1e308", "--chi-hz", "1e-308"], "photon number"),
+    ], ids=["t1", "n_photons"])
+    def test_calibrate_overflow_exit_3(self, tmp_path, capsys, flags,
+                                       quantity):
+        out = tmp_path / "cal.json"
+        assert run(["calibrate", *flags, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and quantity in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,quantity", [
+        (["--snr", "inf"], "SNR"),
+        (["--snr", "nan"], "SNR"),
+        (["--snr", "8", "--tau-meas-ns", "inf"], "tau_meas"),
+        (["--snr", "8", "--tau-buffer-ns", "inf"], "tau_buffer"),
+    ], ids=["snr-inf", "snr-nan", "tau_meas-inf", "tau_buffer-inf"])
+    def test_budget_exit_2(self, tmp_path, capsys, flags, quantity):
+        out = tmp_path / "budget.json"
+        assert run(["budget", "--tau-meas-ns", "56", "--t1-us", "26", *flags,
+                    "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {quantity} must be finite")
+        assert not out.exists()
+
+    def test_budget_infinite_t1_is_no_relaxation(self, tmp_path):
+        out = tmp_path / "budget.json"
+        assert run(["budget", "--snr", "8.4", "--tau-meas-ns", "56",
+                    "--t1-us", "inf", "--out", str(out)]) == 0
+        budget = json.loads(out.read_text())
+        assert budget["eps_cl"] == 0 and budget["eps_cl_q"] == 0
 
 
 class TestFlagLiveness:

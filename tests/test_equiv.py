@@ -58,6 +58,11 @@ class TestEquivalentCap:
         val = equivalent_cap(1.4e-15, cap_geom)
         assert val == pytest.approx(1.4e-15 * 0.8185 * 0.8640, rel=1e-3)
 
+    def test_equivalent_pair_couples_through_it(self, cap_geom):
+        pair = equivalent_pair(cap_geom)
+        assert isinstance(pair.coupler, EquivCap)
+        assert pair.coupler.c_j_eff == equivalent_cap(cap_geom.c_j, cap_geom)
+
 
 class TestJCapacitive:
     def test_table_value_within_5pc_of_30mhz(self, cap_geom):

@@ -411,6 +411,18 @@ class TestShotAnalysis:
         with pytest.raises(ValidationError, match="one label per shot"):
             shot_analysis(iq, labels.reshape(2, -1))
 
+    def test_complex_iq_matches_pairs(self):
+        rng = np.random.default_rng(9)
+        xy, labels = self._blobs(rng, snr=3.0, n=4000)
+        xy[-20:] = [1.5, 8.0]  # outside both 4-sigma ellipses
+        ref = shot_analysis(xy, labels, n_train=2000)
+        ana = shot_analysis(xy[:, 0] + 1j * xy[:, 1], labels, n_train=2000)
+        assert ana.stats == ref.stats and ana.accuracy == ref.accuracy
+        for name in ("weights", "assigned", "misassigned", "diamonds",
+                     "circles", "triangles", "leakage_suspect"):
+            assert np.array_equal(getattr(ana, name), getattr(ref, name)), name
+        assert ref.diamonds.any() and ref.circles.any()
+
 
 def logistic_irls(x, y, max_iter=50, tol=1e-10):
     """The iteratively reweighted logistic fit shot_analysis used before.

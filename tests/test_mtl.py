@@ -78,13 +78,6 @@ class TestLambda4:
 
 
 class TestLineParams:
-    def test_eps_eff_consistency(self):
-        v = 1.19e8
-        eps = (299792458.0 / v) ** 2
-        LineParams(66.0, v, eps_eff=eps)  # consistent: ok
-        with pytest.raises(ValidationError):
-            LineParams(66.0, v, eps_eff=eps * 1.01)
-
     def test_derived_per_length(self):
         assert LINE.c_per_len == pytest.approx(1.2732365e-10, rel=1e-6)
         assert LINE.l_per_len == pytest.approx(66.0 / 1.19e8, rel=1e-12)
@@ -205,6 +198,18 @@ class TestFindZero:
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
             find_zero(lambda f: f + 1e9, 8e9, 10e9)
+
+    @pytest.mark.parametrize("root", [8e9, 10e9])
+    def test_exact_zero_at_an_endpoint(self, root):
+        # returned as is: no sign test, no bisection step
+        calls = []
+
+        def evaluator(f):
+            calls.append(f)
+            return f - root
+
+        assert find_zero(evaluator, 8e9, 10e9) == root
+        assert calls == [8e9, 10e9]
 
     def test_pole_in_bracket_rejected(self, mtl_geom):
         # bracket straddling the readout pole: sign change is a pole, not a zero

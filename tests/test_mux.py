@@ -11,7 +11,8 @@ from scipy.linalg import expm
 from conftest import NOISE_PHOTON_BOUNDS, QUBIT_TABLE, TABLE_MODES
 import notchlab.mux
 from notchlab import (CompositionPoleError, DrivePulse, MuxNetwork,
-                      NormalMode, NumericalError, PulseSegment, QubitCoupling,
+                      NormalMode, NumericalError, PassivityError,
+                      PulseSegment, QubitCoupling,
                       ReadoutChannel, ShuntLC, ValidationError,
                       critical_photon,
                       drive_for_photon_number, enhancement_factor,
@@ -20,7 +21,8 @@ from notchlab import (CompositionPoleError, DrivePulse, MuxNetwork,
                       normal_modes, propagate, separation, shunt_reflection,
                       steady_state, system_matrix, t1_purcell, two_port_z,
                       z21_capacitive, z21_general)
-from notchlab.mux import _channel_weights, _eigensolve, _flip, _greedy_match
+from notchlab.mux import (_channel_weights, _check_passivity, _eigensolve,
+                          _flip, _greedy_match)
 
 TWO_PI = 2 * math.pi
 PAPER_SHUNT = ShuntLC(c_shunt=230e-15, l_shunt=1.01e-9)
@@ -135,6 +137,14 @@ class TestSystemMatrix:
         expected = np.zeros_like(delta)
         expected[n + 1, n + 1] = TWO_PI * 2 * mux_net.channels[1].chi
         assert np.allclose(delta, expected)
+
+    def test_growing_mode_fails_passivity(self):
+        # dx/dt = i A x grows when Im lambda < 0 (engineering sign)
+        net = single_channel_net()
+        kappa = TWO_PI * net.channels[0].kappa_p
+        _check_passivity(net, np.diag([0.5j * kappa, 0.0]))  # decay, lossless
+        with pytest.raises(PassivityError, match="growing mode"):
+            _check_passivity(net, np.diag([0.5j * kappa, -0.5j * kappa]))
 
     def test_j_block_diagonal(self, mux_net):
         a, _ = system_matrix(mux_net, "gggg", 10.4e9)
@@ -286,8 +296,7 @@ class TestNormalModes:
         assert modes["filter"].kappa_hz == pytest.approx(ch.kappa_p, rel=1e-9)
 
     def test_trace_preservation(self, mux_net):
-        a, _ = system_matrix(mux_net, "gggg", 10.4e9, absolute=True,
-                             gamma_shunt=1.0)
+        a, _ = system_matrix(mux_net, "gggg", 0.0, gamma_shunt=1.0)
         lam = np.linalg.eigvals(a)
         assert np.sum(lam) == pytest.approx(np.trace(a), rel=1e-9)
 

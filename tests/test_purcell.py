@@ -82,6 +82,12 @@ class TestT1Purcell:
         res2 = t1_purcell(pair, coup)
         assert res2.notch_limited and math.isinf(res2.t1_s)
 
+    def test_mtl_vs_cap_ratio_infinite_at_the_notch(self, mtl_geom):
+        f_n = notch_frequency(mtl_geom)
+        coup = default_coupling(mtl_geom, 8.0e9)
+        assert t1_purcell(mtl_geom, coup, f_q=f_n).notch_limited
+        assert mtl_vs_cap_t1_ratio(mtl_geom, coup, f_q=f_n) == math.inf
+
     def test_geometry_and_lumped_paths_agree_off_notch(self, mtl_geom):
         coup = default_coupling(mtl_geom, 8.0e9)
         t_geo = t1_purcell(mtl_geom, coup).t1_s

@@ -153,7 +153,7 @@ class TestFitReflection:
         spec_e = synth_spectrum(mux_net, "e", THETA0, TAU, GRID, 0.01, seed=5)
         shifted = PhaseSpectrum(
             freq_hz=spec_g.freq_hz,
-            phase_rad=spec_g.phase_rad + 2 * math.pi, state="g")
+            phase_rad=spec_g.phase_rad + 2 * math.pi)
         cfg = FitConfig(initial=perturbed_guess(mux_net, rng, df=1e6))
         r1 = fit_reflection(spec_g, spec_e, cfg)
         r2 = fit_reflection(shifted, spec_e, cfg)
@@ -315,8 +315,8 @@ def fd_fit_reflection(spec_g, spec_e, cfg):
 
     theta0, tau = sf._prefit_delay(net0, spectra, cfg.theta0, cfg.tau)
     res = least_squares(residuals, sf._pack(net0, theta0, tau, free),
-                        method="lm", xtol=cfg.xtol, ftol=cfg.ftol,
-                        gtol=cfg.gtol, max_nfev=cfg.max_eval)
+                        method="lm", xtol=cfg.tol, ftol=cfg.tol,
+                        gtol=cfg.tol, max_nfev=cfg.max_eval)
     assert res.success
     net, th, ta = sf._unpack(res.x, net0, cfg.theta0, cfg.tau, free)
     return net, sf._standard_errors(res, free, net0.n), \
@@ -464,3 +464,51 @@ def test_jacobian_past_zero_j_matches_central_differences(mux_net,
         np.testing.assert_allclose(jac[:, k], ref, rtol=0,
                                    atol=1e-5 * np.max(np.abs(ref)),
                                    err_msg=name)
+
+
+@pytest.mark.parametrize("scale,seed", [(3, 0), (3, 3), (6, 1), (6, 4)])
+def test_fit_steps_across_zero_kappa_p(mux_net, scale, seed):
+    # every filter linewidth guessed 3 or 6 times too wide and f_p up to
+    # 5 MHz off: LM trial steps cross kappa_p = 0, which the fit must take
+    # as |kappa_p| instead of rejecting the network
+    spec_g = synth_spectrum(mux_net, "g", THETA0, TAU, GRID, 0.2, seed=seed)
+    spec_e = synth_spectrum(mux_net, "e", THETA0, TAU, GRID, 0.2,
+                            seed=100 + seed)
+    rng = np.random.default_rng(seed)
+    guess = dataclasses.replace(mux_net, channels=tuple(dataclasses.replace(
+        c, kappa_p=scale * c.kappa_p, f_p=c.f_p + rng.uniform(-5e6, 5e6))
+        for c in mux_net.channels))
+    res = fit_reflection(spec_g, spec_e, FitConfig(initial=guess, theta0=0.5,
+                                                   tau=0.25e-9))
+    assert res.converged
+    # at the noise floor: 0.2 rad on each of 2 x 901 points
+    assert res.residual_norm <= 1.05 * 0.2 * math.sqrt(2 * GRID.size)
+    for fit, true in zip(res.network.channels, mux_net.channels):
+        assert fit.kappa_p == pytest.approx(true.kappa_p, abs=5e6)
+
+
+def test_bounded_groups_past_zero_take_the_magnitude(mux_net, monkeypatch):
+    # past zero the network takes |x| for J, kappa_p and the internal
+    # linewidths: the fit's residuals repeat and those Jacobian columns
+    # flip sign
+    import scipy.optimize
+    net = with_internal_loss(mux_net, np.random.default_rng(43))
+    spectra = [synth_spectrum(net, s, THETA0, TAU, GRID[::3], 0.0)
+               for s in "ge"]
+    seen = {}
+
+    def capture(fun, x0, jac, **kwargs):
+        seen.update(fun=fun, x0=x0, jac=jac)
+        return least_squares(fun, x0, jac=jac, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "least_squares", capture)
+    fit_reflection(*spectra, FitConfig(initial=net, theta0=THETA0, tau=TAU,
+                                       fix=(), max_eval=3))
+    bounded = np.array([name.split("[")[0] in ("j", "kappa_p", "gamma_r",
+                                               "gamma_p")
+                        for name in all_names(net)])
+    x0 = seen["x0"]
+    x = np.where(bounded, -x0, x0)
+    assert np.array_equal(seen["fun"](x), seen["fun"](x0))
+    assert np.array_equal(seen["jac"](x),
+                          seen["jac"](x0) * np.where(bounded, -1.0, 1.0))
