@@ -60,7 +60,8 @@ class FitConfig:
     filter linewidth of the truth for the local optimizer to be in basin.
     fix lists parameter groups to freeze at their initial values; internal
     linewidths are frozen at zero by default because the external decay
-    dominates.
+    dominates.  Freeing them needs a lossy initial network: a lossless one
+    reflects with |Gamma| = 1, where the phase is stationary in every loss.
     """
 
     initial: MuxNetwork
@@ -78,6 +79,10 @@ class FitConfig:
         for name in self.fix:
             if name not in _GROUPS + ("theta0", "tau"):
                 raise ValidationError(f"unknown fixed-parameter group {name!r}")
+        if {"gamma_r", "gamma_p"} - set(self.fix) and not any(
+                c.gamma_r or c.gamma_p for c in self.initial.channels):
+            raise ValidationError("freed gamma_r/gamma_p need an initial "
+                                  "network with nonzero internal loss")
 
 
 @dataclass(frozen=True)
@@ -249,7 +254,8 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
         nonlocal n_jac
         n_jac += 1
         net, _, _ = _unpack(x, net0, cfg.theta0, cfg.tau, free)
-        d_abs = np.where(is_mag, np.sign(x), 1.0)  # _unpack takes |x|
+        # _unpack takes |x|; d|x|/dx is +1 at 0, so LM can leave the bound
+        d_abs = np.where(is_mag & (x < 0), -1.0, 1.0)
         return _phase_jacobian(net, spectra, free) * d_abs
 
     theta0_init, tau_init = cfg.theta0, cfg.tau

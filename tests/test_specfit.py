@@ -512,3 +512,40 @@ def test_bounded_groups_past_zero_take_the_magnitude(mux_net, monkeypatch):
     assert np.array_equal(seen["fun"](x), seen["fun"](x0))
     assert np.array_equal(seen["jac"](x),
                           seen["jac"](x0) * np.where(bounded, -1.0, 1.0))
+
+
+def test_internal_linewidth_freed_at_zero_leaves_its_bound(mux_net):
+    # channel 3 starts lossless inside a lossy network: its gamma columns
+    # are nonzero there, and d|x|/dx = +1 at x = 0 lets LM move them
+    truth = with_internal_loss(mux_net, np.random.default_rng(43))
+    guess = dataclasses.replace(truth, channels=truth.channels[:3] + (
+        dataclasses.replace(truth.channels[3], gamma_r=0.0, gamma_p=0.0),))
+    spectra = [synth_spectrum(truth, s, THETA0, TAU, GRID, 0.0) for s in "ge"]
+    res = fit_reflection(*spectra, FitConfig(initial=guess, theta0=THETA0,
+                                             tau=TAU, fix=()))
+    assert res.converged
+    fit, true = res.network.channels[3], truth.channels[3]
+    assert fit.gamma_r == pytest.approx(true.gamma_r, rel=1e-4)
+    assert fit.gamma_p == pytest.approx(true.gamma_p, rel=1e-4)
+    assert res.stderr["gamma_r"][3] > 0 and res.stderr["gamma_p"][3] > 0
+
+
+@pytest.mark.parametrize("fix", [(), ("gamma_p",), ("gamma_r",)])
+def test_internal_linewidths_cannot_be_freed_on_a_lossless_network(
+        mux_net, fix):
+    # |Gamma| = 1 without internal loss, so the phase is stationary in
+    # gamma_r and gamma_p and a fit could never leave zero
+    with pytest.raises(ValidationError, match="gamma_r/gamma_p"):
+        FitConfig(initial=mux_net, fix=fix)
+    lossy = with_internal_loss(mux_net, np.random.default_rng(0))
+    FitConfig(initial=lossy, fix=fix)
+    FitConfig(initial=mux_net)
+
+
+def test_lossless_network_phase_is_stationary_in_internal_loss(mux_net):
+    free = all_names(mux_net)
+    spectra = [(PhaseSpectrum(GRID, np.zeros_like(GRID)), s)
+               for s in ("gggg", "eeee")]
+    jac = notchlab.specfit._phase_jacobian(mux_net, spectra, free)
+    for k, name in enumerate(free):
+        assert np.all(jac[:, k] == 0) == name.startswith("gamma_"), name
