@@ -7,8 +7,8 @@ error-budget analytics.
 """
 
 from .equiv import (CouplerBranch, EquivCap, LumpedPair, LumpedResonator,
-                    NotchLC, equivalent_cap, equivalent_pair, j_capacitive,
-                    j_mtl, map_resonator, notch_branch, two_port_z, z21_lumped)
+                    equivalent_cap, equivalent_pair, j_capacitive, j_mtl,
+                    map_resonator, notch_branch, two_port_z, z21_lumped)
 from .errors import (BracketError, CompositionPoleError, DegenerateNotchError,
                      NotchlabError, NumericalError, PassivityError, PoleError,
                      SingularSystemError, UnboundedCouplerError,

@@ -5,7 +5,8 @@ network, deterministic output bytes.  Exit codes: 0 success, 2 validation
 error, 3 numerical error.  Each sweep command evaluates its whole
 frequency grid in one vectorized call per quantity.  Commands whose --out
 is optional print to stdout exactly the bytes they would write to the file;
-every flag a subcommand accepts is read by it.
+every flag a subcommand accepts is read by it.  Warnings go to stderr, each
+distinct message once, as "warning: <message>".
 """
 
 from __future__ import annotations
@@ -163,22 +164,21 @@ def _cmd_purcell(args) -> int:
     geom = dev.pair(args.pair)
     if not geom.is_mtl:
         raise ValidationError("purcell sweep expects an MTL pair")
-    ch = {c.name: c for c in dev.channels}.get(args.pair)
-    qi = dev.qubits.get(args.pair)
+    qi = dev.qubit(args.pair)
+    ch = next((c for c in dev.channels if c.name == args.pair), None)
+    if ch is None:
+        raise ValidationError(f"no channel named {args.pair!r}")
     pair, twin = purcell.mtl_pair_and_twin(geom)
     f_bar = 0.5 * (geom.f_r + geom.f_p)
-    c_q = (qi.c_q if qi and qi.c_q else None) or args.c_q_ff * 1e-15
-    f_q_ref = qi.f_q if qi else f_bar
-    g_ref = qi.g if qi else 100e6
-    kappa_ref = ch.kappa_p if ch else 50e6
-    c_qr = purcell.c_qr_from_g(g_ref, f_q_ref, geom.f_r, c_q, pair.readout.c)
-    c_ext = purcell.c_ext_from_kappa(kappa_ref, geom.f_p, pair.filter.c,
+    c_q = qi.c_q or args.c_q_ff * 1e-15
+    c_qr = purcell.c_qr_from_g(qi.g, qi.f_q, geom.f_r, c_q, pair.readout.c)
+    c_ext = purcell.c_ext_from_kappa(ch.kappa_p, geom.f_p, pair.filter.c,
                                      dev.z0_line)
     shunt = None if args.no_shunt else dev.shunt
     f_n = mtl.notch_frequency(geom)
     grid = _grid(args)
     coup = purcell.QubitCoupling(c_q=c_q, c_qr=c_qr, c_ext=c_ext,
-                                 z0_line=dev.z0_line, f_q=f_q_ref)
+                                 z0_line=dev.z0_line, f_q=qi.f_q)
     t_mtl = purcell.t1_purcell(pair, coup, f_q=grid, shunt=shunt)
     t_cap = purcell.t1_purcell(twin, coup, f_q=grid, shunt=shunt)
     with warnings.catch_warnings():
@@ -425,12 +425,14 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
     try:
-        if hasattr(args, "device"):
-            # loaded once here; commands read it as args.dev
-            args.dev = load_device(args.device)
-            if getattr(args, "state", "unset") is None:
-                args.state = "g" * len(args.dev.channels)
-        return args.fn(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            if hasattr(args, "device"):
+                # loaded once here; commands read it as args.dev
+                args.dev = load_device(args.device)
+                if getattr(args, "state", "unset") is None:
+                    args.state = "g" * len(args.dev.channels)
+            return args.fn(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -438,6 +440,10 @@ def run(argv=None) -> int:
             FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
+    finally:
+        # each distinct message once, without the source line that raised it
+        for message in dict.fromkeys(str(w.message) for w in caught):
+            print(f"warning: {message}", file=sys.stderr)
 
 
 def main() -> None:

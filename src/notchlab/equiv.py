@@ -67,30 +67,9 @@ class EquivCap:
         return 1j * TWO_PI * np.asarray(f, dtype=float) * self.c_j_eff
 
 
-@dataclass(frozen=True)
-class NotchLC:
-    """Coupler branch: parallel LC blocking transmission at its resonance."""
-
-    c_n: float
-    l_n: float
-
-    def __post_init__(self):
-        if not (self.c_n > 0 and self.l_n > 0):
-            raise ValidationError("NotchLC needs c_n > 0 and l_n > 0")
-
-    @property
-    def f0(self) -> float:
-        return 1.0 / (TWO_PI * math.sqrt(self.l_n * self.c_n))
-
-    @property
-    def z_n(self) -> float:
-        return math.sqrt(self.l_n / self.c_n)
-
-    def admittance(self, f):
-        return _lc_admittance(f, self.c_n, self.l_n)
-
-
-CouplerBranch = EquivCap | NotchLC
+# a LumpedResonator coupler is the notch branch: a parallel LC that blocks
+# transmission at its resonance
+CouplerBranch = EquivCap | LumpedResonator
 
 
 @dataclass(frozen=True)
@@ -102,9 +81,9 @@ class LumpedPair:
     coupler: CouplerBranch
 
     def __post_init__(self):
-        if isinstance(self.coupler, NotchLC):
-            c_ratio = self.coupler.c_n / min(self.readout.c, self.filter.c)
-            l_ratio = self.coupler.l_n / max(self.readout.l, self.filter.l)
+        if isinstance(self.coupler, LumpedResonator):
+            c_ratio = self.coupler.c / min(self.readout.c, self.filter.c)
+            l_ratio = self.coupler.l / max(self.readout.l, self.filter.l)
             if c_ratio > 0.1 or l_ratio < 10.0:
                 warnings.warn(
                     f"weak-coupling regime strained: C_n/C = {c_ratio:.3g}, "
@@ -155,7 +134,7 @@ def j_capacitive(geom: CoupledPairGeometry, c_j: float) -> float:
     return j_ang / TWO_PI
 
 
-def notch_branch(geom: CoupledPairGeometry) -> NotchLC:
+def notch_branch(geom: CoupledPairGeometry) -> LumpedResonator:
     """Coupler branch of the lumped image of an MTL-coupled pair.
 
     The branch impedance Z_n is fixed by matching value and slope of the
@@ -181,7 +160,7 @@ def notch_branch(geom: CoupledPairGeometry) -> NotchLC:
                / r / math.sin(w_n * geom.len_c / line.v))
     if not z_n > 0 or not math.isfinite(z_n):
         raise UnboundedCouplerError(f"Z_n = {z_n!r} is not a positive finite value")
-    return NotchLC(c_n=1.0 / (w_n * z_n), l_n=z_n / w_n)
+    return LumpedResonator(c=1.0 / (w_n * z_n), l=z_n / w_n)
 
 
 def j_mtl(geom: CoupledPairGeometry, exact: bool = False) -> float:
@@ -215,7 +194,7 @@ def j_mtl(geom: CoupledPairGeometry, exact: bool = False) -> float:
             z_r = map_resonator(geom.ell_r, line).z
             z_p = map_resonator(geom.ell_p, line).z
             sq = math.sqrt(w_r * w_p)
-            j_ang = (math.sqrt(z_r * z_p) / (2.0 * branch.z_n)
+            j_ang = (math.sqrt(z_r * z_p) / (2.0 * branch.z)
                      * sq * (sq / w_n - w_n / sq))
         else:
             ratio = w_bar / w_n

@@ -620,44 +620,27 @@ def _flip(state: str, idx: int) -> str:
     return state[:idx] + flipped + state[idx + 1:]
 
 
-def _owned_modes(net: MuxNetwork, state: str, flips):
-    """Modes of `state`: (lam, channel weights, owner, flip shift).
-
-    For each channel j in flips, shift[k] of a mode k that j owns is the
-    signed change of Re lambda (rad/s) of its overlap-matched mode when
-    qubit j flips; the other modes keep 0.
-    """
+def _owned_modes(net: MuxNetwork, state: str):
+    """Modes of `state`: (lam, unit eigenvectors, channel weights, owner)."""
     lam, vec = _eigensolve(net, state)
     weights = _channel_weights(net, vec)
-    owner = _assign_channels(weights)
-    shift = np.zeros(lam.size)
-    for j in flips:
-        lam_f, vec_f = _eigensolve(net, _flip(state, j))
-        match = _greedy_match(np.abs(vec.conj().T @ vec_f), 1)
-        mine = owner == j
-        shift[mine] = lam_f.real[match[mine]] - lam.real[mine]
-    return lam, weights, owner, shift
+    return lam, vec, weights, _assign_channels(weights)
 
 
 def normal_modes(net: MuxNetwork, state: str) -> list[NormalMode]:
     """Hybridized modes of the drive-free network (shunt reflection set to 1).
 
     Modes pair to channels by eigenvector weight.  Within a channel the
-    readout-like mode is the one whose frequency moves more when that
-    channel's qubit state flips (the filter-like mode barely shifts); for a
-    channel with chi = 0 the smaller external linewidth decides instead.
+    readout-like mode is the one with the larger eigenvector weight on that
+    channel's readout resonator: that share of the mode carries the qubit's
+    dispersive shift.
     """
     state = validate_state(net, state)
-    lam, weights, owner, shift = _owned_modes(
-        net, state, [j for j, ch in enumerate(net.channels) if ch.chi != 0.0])
+    lam, vec, weights, owner = _owned_modes(net, state)
     modes: list[NormalMode] = []
     for j, ch in enumerate(net.channels):
-        members = np.flatnonzero(owner == j).tolist()
-        if ch.chi == 0.0:
-            # smaller external linewidth marks the readout-like mode
-            members.sort(key=lambda k: lam[k].imag)
-        else:
-            members.sort(key=lambda k: -abs(shift[k]))
+        members = sorted(np.flatnonzero(owner == j).tolist(),
+                         key=lambda k: -abs(vec[net.n + j, k]))
         for rank, k in enumerate(members):
             modes.append(NormalMode(
                 channel=ch.name,
@@ -673,11 +656,15 @@ def mode_dispersive_shifts(net: MuxNetwork, target: str) -> tuple[float, float]:
     """(chi_r, chi_p) of the hybridized modes for the target channel (Hz).
 
     Computed as half the frequency change of each mode when only the target
-    qubit flips from g to e, all other qubits staying in g.
+    qubit goes from g to e (others in g), each mode matched by overlap.
     """
     idx = net.index(target)
-    _, _, owner, shift = _owned_modes(net, "g" * net.n, [idx])
-    chi = shift[owner == idx] / 2.0 / TWO_PI
+    state = "g" * net.n
+    lam, vec, _, owner = _owned_modes(net, state)
+    lam_f, vec_f = _eigensolve(net, _flip(state, idx))
+    match = _greedy_match(np.abs(vec.conj().T @ vec_f), 1)
+    mine = owner == idx
+    chi = (lam_f.real[match[mine]] - lam.real[mine]) / 2.0 / TWO_PI
     chi_r, chi_p = chi[np.argsort(-np.abs(chi), kind="stable")]
     return chi_r, chi_p
 

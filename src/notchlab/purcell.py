@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equiv import (EquivCap, LumpedPair, LumpedResonator, NotchLC,
-                    _lc_admittance, equivalent_pair, j_mtl, map_resonator,
-                    two_port_z)
+from .equiv import (EquivCap, LumpedPair, LumpedResonator, _lc_admittance,
+                    equivalent_pair, j_mtl, map_resonator, two_port_z)
 from .errors import BracketError, NumericalError, ValidationError
 from .mtl import (TWO_PI, CoupledPairGeometry, _freq_array, _scalar_or_array,
                   find_zero, z21_auto)
@@ -259,7 +258,7 @@ def constrained_pair(f_r: float, f_p: float, j_hz: float, f_n: float,
     filt = LumpedResonator(c=1.0 / (z_char * w_p), l=z_char / w_p)
     sq = math.sqrt(w_r * w_p)
     z_n = z_char / (2.0 * TWO_PI * j_hz) * sq * abs(sq / w_n - w_n / sq)
-    coupler = NotchLC(c_n=1.0 / (w_n * z_n), l_n=z_n / w_n)
+    coupler = LumpedResonator(c=1.0 / (w_n * z_n), l=z_n / w_n)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return LumpedPair(readout=readout, filter=filt, coupler=coupler)

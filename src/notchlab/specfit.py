@@ -87,6 +87,13 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitResult:
+    """Outcome of fit_reflection.
+
+    converged is MINPACK's tolerance test only: a local minimum above the
+    noise floor also reports True.  Compare residual_norm, the 2-norm of the
+    M phase residuals (rad), with sigma sqrt(M) for a phase noise sigma.
+    """
+
     network: MuxNetwork
     theta0: float
     tau: float

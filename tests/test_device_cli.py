@@ -438,6 +438,36 @@ class TestCliCommands:
                 t_cap = float(cells[2])
                 assert t_mtl > 10 * t_cap
 
+    @pytest.mark.parametrize("section", ["qubits", "channels"])
+    def test_purcell_needs_qubit_and_channel(self, tmp_path, capsys,
+                                             section):
+        # without the pair's qubit or channel there is no g, f_q or kappa_p
+        # to build the coupling from; none is made up
+        raw = copy.deepcopy(PAPER_RAW)
+        raw[section] = [e for e in raw[section] if e["name"] != "Q1"]
+        dev, out = tmp_path / "dev.json", tmp_path / "t1.csv"
+        dev.write_text(json.dumps(raw))
+        code = run(["purcell", "--device", str(dev), "--pair", "Q1",
+                    "--fmin", "7.8e9", "--fmax", "8.8e9", "--points", "3",
+                    "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: no {section[:-1]} named 'Q1'\n"
+        assert not out.exists()
+
+    def test_warning_printed_once_without_source(self, tmp_path, capsys):
+        raw = copy.deepcopy(PAPER_RAW)
+        raw["geometry"][0]["l_r_open_um"] = 0
+        dev, out = tmp_path / "dev.json", tmp_path / "design.csv"
+        dev.write_text(json.dumps(raw))
+        assert run(["design", "--device", str(dev)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ("warning: resonator detuning exceeds 10% of "
+                                "the notch frequency; the J expansion "
+                                "degrades\n")
+        assert run(["design", "--device", str(dev), "--out", str(out)]) == 0
+        assert captured.out.encode() == out.read_bytes()
+
     def test_fit_round_trip_via_cli(self, device_path, tmp_path):
         from notchlab import synth_spectrum
         from notchlab.device import load_device

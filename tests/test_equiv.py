@@ -7,7 +7,7 @@ import pytest
 from abcd_oracle import z21_lumped_cascade
 from notchlab import (CoupledPairGeometry, DegenerateNotchError, EquivCap,
                       LineParams, LumpedPair, LumpedResonator,
-                      MtlCouplerParams, NotchLC, UnboundedCouplerError,
+                      MtlCouplerParams, UnboundedCouplerError,
                       ValidationError, equivalent_cap, equivalent_pair,
                       j_capacitive, j_mtl, map_resonator, notch_branch,
                       notch_frequency, z21_homogeneous, z21_lumped)
@@ -97,14 +97,14 @@ class TestNotchBranch:
             assert branch.f0 == pytest.approx(notch_frequency(geom), rel=1e-12)
 
     def test_halving_coupling_doubles_zn(self, mtl_geom):
-        z1 = notch_branch(mtl_geom).z_n
+        z1 = notch_branch(mtl_geom).z
         half = CoupledPairGeometry(
             mtl_geom.l_r_open, mtl_geom.l_r_short, mtl_geom.l_p_open,
             mtl_geom.l_p_short,
             MtlCouplerParams(mtl_geom.len_c, mtl_geom.coupler.cm_over_c / 2),
             LINE)
         assert z1 > 0
-        assert notch_branch(half).z_n == pytest.approx(2 * z1, rel=1e-12)
+        assert notch_branch(half).z == pytest.approx(2 * z1, rel=1e-12)
 
     def test_zero_coupling_unbounded(self, mtl_geom):
         geom = CoupledPairGeometry(
@@ -274,11 +274,11 @@ class TestTypes:
             LumpedResonator(c=-1e-15, l=1e-9)
 
     def test_notchlc_resonance(self):
-        b = NotchLC(c_n=2.844e-15, l_n=130e-9)
+        b = LumpedResonator(c=2.844e-15, l=130e-9)
         assert b.f0 == pytest.approx(
             1 / (TWO_PI * math.sqrt(2.844e-15 * 130e-9)), rel=1e-12)
 
     def test_weak_coupling_warning(self):
         res = LumpedResonator(c=100e-15, l=2e-9)
         with pytest.warns(UserWarning):
-            LumpedPair(res, res, NotchLC(c_n=20e-15, l_n=10e-9))
+            LumpedPair(res, res, LumpedResonator(c=20e-15, l=10e-9))

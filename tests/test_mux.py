@@ -466,6 +466,74 @@ class TestModePipelineVsTwoPass:
         assert normal_modes(net, "g") == normal_modes_two_pass(net, "g")
 
 
+def resolved_net(rng, n):
+    """n channels 600 MHz apart, each readout resonator 1-3 J off its filter.
+
+    The readout-filter detuning also exceeds 2|chi|, so it keeps its sign in
+    both qubit states.  About half the channels have chi = 0; J spans
+    3-100 MHz, kappa_p 17-255 MHz, and the internal linewidths are 0 or
+    100 kHz.
+    """
+    channels = []
+    for i in range(n):
+        j = 33e6 * rng.uniform(0.1, 3.0)
+        chi = 0.0 if rng.random() < 0.5 else -rng.uniform(5e6, 12e6)
+        f_p = 10.0e9 + 600e6 * i
+        f_r = f_p + rng.choice([-1, 1]) * (j * rng.uniform(1, 3) + 2 * abs(chi))
+        loss = rng.choice([0.0, 100e3])
+        channels.append(ReadoutChannel(
+            name=f"Q{i + 1}", f_r_g=f_r, chi=chi, f_p=f_p, j=j,
+            kappa_p=85e6 * rng.uniform(0.2, 3.0), gamma_r=loss, gamma_p=loss))
+    return MuxNetwork(channels=channels, shunt=PAPER_SHUNT)
+
+
+class TestModesByReadoutWeight:
+    def test_one_eigensolve(self, mux_net, monkeypatch):
+        calls = []
+
+        def counting(net, state):
+            calls.append(state)
+            return _eigensolve(net, state)
+
+        monkeypatch.setattr(notchlab.mux, "_eigensolve", counting)
+        normal_modes(mux_net, "gegg")
+        assert calls == ["gegg"]
+
+    def test_two_pass_labels_where_resolved(self):
+        # where each pair stays detuned by more than J through the qubit
+        # flip, the mode that moves more with the flip is the one with more
+        # weight on the readout resonator
+        rng = np.random.default_rng(17)
+        sizes = []
+        for _ in range(300):
+            n = int(rng.choice([1, 2, 4, 8]))
+            net = resolved_net(rng, n)
+            state = "".join(rng.choice(["g", "e"], n))
+            assert normal_modes(net, state) == normal_modes_two_pass(net, state)
+            target = net.channels[int(rng.integers(n))].name
+            assert (mode_dispersive_shifts(net, target)
+                    == mode_dispersive_shifts_two_pass(net, target))
+            sizes.append(n)
+        assert {1, 8} <= set(sizes)
+
+    @pytest.mark.parametrize("chi,kappa", [(-2e6, 20e6), (-2e6, 150e6),
+                                           (-10e6, 20e6), (-10e6, 150e6)])
+    def test_mirror_detuned_channel(self, chi, kappa):
+        # f_r - f_p is +|chi| in g and -|chi| in e: the e modes mirror the
+        # g modes about f_p, the flip shifts both modes of a state nearly
+        # equally, and the readout-like mode is the narrower one in each
+        f_p = 10.4e9
+        ch = ReadoutChannel(name="Q", f_r_g=f_p - chi, chi=chi, f_p=f_p,
+                            j=40e6, kappa_p=kappa)
+        net = MuxNetwork(channels=(ch,), shunt=PAPER_SHUNT)
+        modes = {s: {m.character: m for m in normal_modes(net, s)}
+                 for s in "ge"}
+        for s in "ge":
+            assert modes[s]["readout"].kappa_hz < modes[s]["filter"].kappa_hz
+        assert (modes["g"]["readout"].f_hz - f_p
+                == pytest.approx(f_p - modes["e"]["readout"].f_hz, abs=1.0))
+
+
 class TestNoisePhotonBound:
     def test_zero_dephasing(self, mux_net):
         assert noise_photon_bound(mux_net, "Q2", 0.0) == 0.0
