@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateNotchError, PoleError, UnboundedCouplerError,
-                     ValidationError)
+from .errors import (DegenerateNotchError, NumericalError, PoleError,
+                     UnboundedCouplerError, ValidationError)
 from .mtl import (TWO_PI, CoupledPairGeometry, LineParams, _float_range,
                   _freq_array, _scalar_or_array, notch_frequency)
 
@@ -131,6 +131,9 @@ def j_capacitive(geom: CoupledPairGeometry, c_j: float) -> float:
     w_r = TWO_PI * geom.f_r
     w_p = TWO_PI * geom.f_p
     j_ang = (2.0 / math.pi) * geom.line.z0 * w_r * w_p * equivalent_cap(c_j, geom)
+    if not math.isfinite(j_ang):
+        raise NumericalError("J leaves the float range; a device parameter "
+                             "is too large or too small")
     return j_ang / TWO_PI
 
 

@@ -38,6 +38,13 @@ MAX_CHANNELS = 8
 # are rejected before anything is allocated
 MAX_SAMPLES = 10 ** 6
 
+# propagate's modal coordinates lose a few 1e-15 cond(V) of the trace, so
+# it refuses cond(V) > COND_MAX; its step blocks decay by at most
+# e^BLOCK_DECAY_MAX and hold at most BLOCK_STEPS steps
+COND_MAX = 1e6
+BLOCK_DECAY_MAX = 30.0
+BLOCK_STEPS = 1024
+
 NOISE_GRID_START = 4001
 NOISE_GRID_MAX = 2 ** 18 + 1
 NOISE_GRID_RTOL = 1e-9
@@ -443,25 +450,30 @@ def _eig_tolerance(net: MuxNetwork, a: np.ndarray) -> float:
     return tol
 
 
-def _check_passivity(net: MuxNetwork, a: np.ndarray) -> None:
+def _check_passivity(net: MuxNetwork, a: np.ndarray):
+    """Eigenvalues and eigenvectors (lam, V) of a passive system matrix."""
     tol = _eig_tolerance(net, a)
-    lam = np.linalg.eigvals(a)
+    lam, vec = np.linalg.eig(a)
     if not np.all(np.isfinite(lam)):
         raise NumericalError("system matrix eigenvalues are not finite")
     if np.min(lam.imag) < -tol:
         raise PassivityError(
             f"system matrix has a growing mode (Im lambda = {np.min(lam.imag):.3g})")
+    return lam, vec
 
 
 def propagate(net: MuxNetwork, state: str | Sequence[str], pulse: DrivePulse,
               dt_out: float) -> FieldTraces | tuple[FieldTraces, ...]:
     """Integrate the driven coupled-mode equations from zero initial state.
 
-    The system is linear and time-invariant within each envelope sample, so
-    each step applies the exact matrix exponential; there is no step-size
-    error beyond the piecewise-constant envelope sampling.  A sequence of
-    states gives a tuple of FieldTraces in its order, from one shared step
-    loop; each is bit-identical to propagating its state alone.
+    The system is linear and time-invariant within each envelope sample.
+    With i A = V diag(mu) V^-1 and b = V^-1 d, each step of length h is
+    diagonal in modal coordinates y = V^-1 x,
+    y <- e^(mu h) y + (e^(mu h) - 1) / mu * b u, so there is no step-size
+    error beyond the piecewise-constant envelope sampling.  NumericalError
+    when cond(V) exceeds COND_MAX (near an exceptional point).  A sequence
+    of states gives a tuple of FieldTraces in its order, computed together;
+    each is bit-identical to propagating its state alone.
     """
     scalar = isinstance(state, str)
     states = [validate_state(net, s) for s in ([state] if scalar else state)]
@@ -480,8 +492,18 @@ def propagate(net: MuxNetwork, state: str | Sequence[str], pulse: DrivePulse,
             f"a {t_end:.3g} s pulse at dt_out = {dt_out:.3g} s needs up to "
             f"{n_steps:.3g} time steps; the limit is {MAX_SAMPLES}")
     systems = [system_matrix(net, s, pulse.f_d) for s in states]
-    for a, _ in systems:
-        _check_passivity(net, a)
+    eigs = [_check_passivity(net, a) for a, _ in systems]
+    for _, vec in eigs:
+        cond = np.linalg.cond(vec)
+        if not cond <= COND_MAX:
+            raise NumericalError(
+                f"system matrix eigenvectors have cond(V) = {cond:.3g} > "
+                f"{COND_MAX:.0e}: too close to an exceptional point to "
+                "propagate in modal coordinates")
+    mu = 1j * np.array([lam for lam, _ in eigs])                  # (S, 2N)
+    vecs = np.array([vec for _, vec in eigs])                     # (S, 2N, 2N)
+    b = np.array([np.linalg.solve(vec, d)
+                  for (_, vec), (_, d) in zip(eigs, systems)])    # (S, 2N)
     n, dim = net.n, 2 * net.n
 
     n_out = int(math.floor(t_end / dt_out + 1e-9))
@@ -498,35 +520,50 @@ def propagate(net: MuxNetwork, state: str | Sequence[str], pulse: DrivePulse,
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     us = amps[np.maximum(np.searchsorted(starts, mids, side="right") - 1, 0)]
 
-    # one expm per state and step length rounded to 1e-18 s, from its first
-    # step; e_ops[i, j] x + f_ops[i, j] u advances state j by step length i
+    # per-step factors once per state and step length rounded to 1e-18 s,
+    # from its first step: step k applies decay[:, which[k]] and
+    # drive[:, which[k]] * us[k]; mu = 0 takes the limit h
     _, first, which = np.unique(np.round(hs, 18), return_index=True,
                                 return_inverse=True)
-    augs = [np.block([[1j * a, d[:, None]], [np.zeros((1, dim + 1))]])
-            for a, d in systems]
-    from scipy.linalg import expm
-    big = np.array([[expm(aug * h) for aug in augs] for h in hs[first]])
-    e_ops, f_ops = big[..., :dim, :dim], big[..., :dim, dim:]
+    h = hs[first][:, None]
+    muh = mu[:, None, :] * h                                      # (S, U, 2N)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.where(muh == 0, h, np.expm1(muh) / mu[:, None, :])
+    decay, drive = np.exp(muh), phi * b[:, None, :]
 
-    # a (dim, 1) column per state; the last row, never written, is x at t = 0
-    xs = np.zeros((hs.size + 1, len(states), dim, 1), dtype=complex)
-    x = xs[-1]
-    gs = shunt_reflection(net.shunt, net.z0_line, pulse.f_d)
-    s_in = np.asarray(pulse.envelope(out_times), dtype=complex)
-    root_k = np.sqrt(np.array([TWO_PI * ch.kappa_p for ch in net.channels]))
+    # y_k = decay_k y_(k-1) + c_k in blocks of steps: y = P (y0 + cumsum(c/P))
+    # with P = cumprod(decay) over the block.  Im trace A bounds every mode's
+    # decay rate whatever the qubit states, so the blocks are the same for
+    # every state set: each decays by at most e^BLOCK_DECAY_MAX, and a
+    # longer step is a block of one, y = decay y0 + c.
+    rate = float(np.trace(systems[0][0]).imag)
+    decayed = np.cumsum(rate * hs)
+    ys = np.empty((len(states), hs.size, dim), dtype=complex)
+    y = np.zeros((len(states), dim), dtype=complex)
+    k0 = 0
     with np.errstate(over="ignore", invalid="ignore"):
-        # the drive terms f_ops u, built 1024 steps at a time to bound memory
-        for b in range(0, hs.size, 1024):
-            steps = which[b:b + 1024]
-            fu = f_ops[steps] * us[b:b + 1024, None, None, None]
-            for k, i in enumerate(steps.tolist(), b):
-                x = np.add(np.matmul(e_ops[i], x), fu[k - b], out=xs[k])
+        while k0 < hs.size:
+            reach = (decayed[k0 - 1] if k0 else 0.0) + BLOCK_DECAY_MAX
+            k1 = min(max(int(np.searchsorted(decayed, reach, side="right")),
+                         k0 + 1), k0 + BLOCK_STEPS)
+            step = which[k0:k1]
+            c = drive[:, step] * us[k0:k1, None]
+            if k1 == k0 + 1:
+                ys[:, k0] = decay[:, step[0]] * y + c[:, 0]
+            else:
+                p = np.cumprod(decay[:, step], axis=1)
+                ys[:, k0:k1] = p * (y[:, None] + np.cumsum(c / p, axis=1))
+            y = ys[:, k1 - 1]
+            k0 = k1
         # an output time takes the state after the first step that reaches
         # it; one rounded past t_end takes the state at the end of the pulse
-        fields = np.zeros((len(states), out_times.size, dim), dtype=complex)
         reached = np.minimum(np.searchsorted(cuts[1:] + 1e-15, out_times[1:]),
                              hs.size - 1)
-        fields[:, 1:] = xs[reached, :, :, 0].swapaxes(0, 1)
+        fields = np.zeros((len(states), out_times.size, dim), dtype=complex)
+        fields[:, 1:] = np.take(ys, reached, axis=1) @ vecs.swapaxes(1, 2)
+        gs = shunt_reflection(net.shunt, net.z0_line, pulse.f_d)
+        s_in = np.asarray(pulse.envelope(out_times), dtype=complex)
+        root_k = np.sqrt(np.array([TWO_PI * ch.kappa_p for ch in net.channels]))
         s_out = [gs * s_in - 0.5 * (1.0 + gs) * (root_k @ f[:, :n].T)
                  for f in fields]
     if not (np.all(np.isfinite(fields)) and np.all(np.isfinite(s_out))):

@@ -706,6 +706,43 @@ class TestNumericalFailuresExit3:
         assert f"{message} leaves the float range" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "separation"])
+    def test_exceptional_point_exit_3(self, tmp_path, capsys, command):
+        # f_r = f_p, J = kappa_p / 4 and a shunt reflecting Gamma = 1: the
+        # two modes coalesce and cond(V) passes mux.COND_MAX
+        raw = json.loads(paper_device_path().read_text())
+        raw["shunt"] = {"c_f": 1e-30, "l_h": 1e30}
+        raw["channels"] = [{"name": "Q1", "f_r_g_mhz": 10400.0,
+                            "chi_mhz": -2.0, "f_p_mhz": 10400.0,
+                            "j_mhz": 25.0, "kappa_p_mhz": 100.0}]
+        dev = tmp_path / "dev.json"
+        dev.write_text(json.dumps(raw))
+        pulse = json.dumps({"carrier_mhz": 10410.0, "rectangular": {
+            "amplitude": 1e6, "duration_ns": 20.0}})
+        flags = ["--pair", "Q1"] if command == "separation" else []
+        out = tmp_path / "out"
+        assert run([command, "--device", str(dev), *flags, "--pulse", pulse,
+                    "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ") and "cond(V) = " in err
+        assert not out.exists()
+
+    def test_design_capacitive_j_overflow_exit_3(self, tmp_path, capsys):
+        # the capacitive pair's J scales with the line impedance: 1e300 ohm
+        # overflows it to inf, where its notch column is NaN by design
+        raw = json.loads(paper_device_path().read_text())
+        raw["line"]["z0_ohm"] = 1e300
+        dev = tmp_path / "dev.json"
+        dev.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(["design", "--device", str(dev), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: ")
+        assert "J leaves the float range" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("exc", [
         OverflowError("math range error"),
         ZeroDivisionError("float division by zero"),
@@ -1199,7 +1236,7 @@ print(json.dumps(seen))
 
 def test_cli_loads_scipy_only_where_used(device_path, tmp_path):
     # scipy.optimize alone is about 0.5 s of a cold start: every command but
-    # these three must run without loading any scipy module
+    # fit must run without loading any scipy module
     from notchlab import synth_spectrum
 
     net = load_device(device_path).mux_network()
@@ -1233,9 +1270,11 @@ def test_cli_loads_scipy_only_where_used(device_path, tmp_path):
              "--tau-meas-ns", "56", "--t1-us", "26", *out("budget.json")],
             ["calibrate", "--stark", str(tmp_path / "stark.csv"),
              *out("calibrate.json")],
+            ["simulate", *dev, "--pulse", pulse, "--dt-ns", "1.0",
+             *out("trace.csv")],
+            ["separation", *dev, "--pair", "Q2", "--pulse", pulse,
+             *out("sep.csv")],
         ],
-        "simulate": [["simulate", *dev, "--pulse", pulse, "--dt-ns", "1.0",
-                      *out("trace.csv")]],
         "fit": [["fit", *dev, "--spec-g", str(tmp_path / "g.csv"),
                  "--spec-e", str(tmp_path / "e.csv"), *out("fit.json")]],
     }
@@ -1250,8 +1289,6 @@ def test_cli_loads_scipy_only_where_used(device_path, tmp_path):
     for phase, argvs in phases.items():
         assert seen[phase][0] == [0] * len(argvs), proc.stderr
     assert seen["numpy_only"][1] == []
-    loaded = seen["simulate"][1]
-    assert "scipy.linalg" in loaded and "scipy.optimize" not in loaded
     assert "scipy.optimize" in seen["fit"][1]
 
 

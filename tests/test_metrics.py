@@ -531,9 +531,9 @@ class TestMetricsConstants:
 
     @pytest.mark.parametrize("name", sorted(
         path.stem for path in Path(notchlab.__file__).parent.glob("*.py")
-        if path.stem not in ("mux", "specfit")))
+        if path.stem != "specfit"))
     def test_module_imports_no_scipy(self, name):
-        # scipy loads only for expm (mux) and the optimizers (specfit)
+        # scipy loads only for the optimizer (specfit)
         module = importlib.import_module(f"notchlab.{name}")
         tree = ast.parse(inspect.getsource(module))
         names = [a.name for node in ast.walk(tree)
