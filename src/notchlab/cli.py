@@ -386,7 +386,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta0", type=float, default=0.0)
     p.add_argument("--tau-ns", type=float, default=0.0)
     p.add_argument("--tol", type=float, default=1e-12,
-                   help="optimizer xtol/ftol/gtol, > 0 (default 1e-12)")
+                   help="LM ftol/xtol/gtol, finite and >= 2.2e-16 "
+                   "(default 1e-12)")
     p.set_defaults(fn=_cmd_fit)
 
     p = sub.add_parser("budget", help="readout error budget")

@@ -14,6 +14,7 @@ channel's parameters only.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -68,14 +69,19 @@ class FitConfig:
     theta0: float = 0.0
     tau: float = 0.0
     fix: tuple[str, ...] = _DEFAULT_FIXED
-    tol: float = 1e-12  # least_squares xtol, ftol and gtol
-    max_eval: int = 20000
+    tol: float = 1e-12  # LM ftol, xtol and gtol, from machine epsilon up
+    max_eval: int = 20000  # residual evaluations, at least 1
 
     def __post_init__(self):
         if not np.all(np.isfinite([self.theta0, self.tau])):
             raise ValidationError("theta0 and tau must be finite")
-        if not self.tol > 0:
-            raise ValidationError("tolerances must be > 0")
+        if not np.finfo(float).eps <= self.tol < np.inf:
+            raise ValidationError("tol must be > 0: finite and at least the machine "
+                                  f"epsilon {np.finfo(float).eps:.3g}, got {self.tol}")
+        if isinstance(self.max_eval, bool) or not isinstance(
+                self.max_eval, (int, np.integer)) or self.max_eval < 1:
+            raise ValidationError(
+                f"max_eval must be an integer >= 1, got {self.max_eval!r}")
         for name in self.fix:
             if name not in _GROUPS + ("theta0", "tau"):
                 raise ValidationError(f"unknown fixed-parameter group {name!r}")
@@ -89,9 +95,10 @@ class FitConfig:
 class FitResult:
     """Outcome of fit_reflection.
 
-    converged is MINPACK's tolerance test only: a local minimum above the
-    noise floor also reports True.  Compare residual_norm, the 2-norm of the
-    M phase residuals (rad), with sigma sqrt(M) for a phase noise sigma.
+    converged is the ftol/xtol/gtol test of the LM pass (_lm) only, False
+    at max_eval: a local minimum above the noise floor also reports True.
+    Compare residual_norm, the 2-norm of the M phase residuals (rad), with
+    sigma sqrt(M) for a phase noise sigma.
     """
 
     network: MuxNetwork
@@ -213,12 +220,12 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
                    cfg: FitConfig) -> FitResult:
     """Simultaneous least-squares fit of the g- and e-state phase spectra.
 
-    One Levenberg-Marquardt pass on circular residuals with the analytic
-    Jacobian (_phase_jacobian).  J, kappa_p and the internal linewidths are
-    fit signed and reported as magnitudes (_MAGNITUDE).  With only one
-    spectrum chi is unidentifiable and is silently frozen (chi_reported =
-    False).  Standard errors come from the residual Jacobian at the
-    solution.  Deterministic for identical inputs.
+    One pass of Moré's Levenberg-Marquardt (_lm) on circular residuals with
+    the analytic Jacobian (_phase_jacobian).  J, kappa_p and the internal
+    linewidths are fit signed and reported as magnitudes (_MAGNITUDE).  With
+    only one spectrum chi is unidentifiable and is silently frozen
+    (chi_reported = False).  Standard errors come from the residual Jacobian
+    at the solution.  Deterministic for identical inputs.
     """
     net0 = cfg.initial
     fixed = set(cfg.fix)
@@ -243,6 +250,9 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
                 spec_g.freq_hz[0] > spec_e.freq_hz[-1]:
             raise ValidationError("the two spectra must overlap in frequency")
         spectra.append((spec_e, "e" * net0.n))
+    if sum(spec.freq_hz.size for spec, _ in spectra) < len(free):
+        raise ValidationError(f"{len(free)} free parameters need at least "
+                              "as many spectrum points")
 
     n_eval = n_jac = 0
     is_mag = np.array([name.startswith(_MAGNITUDE) for name in free])
@@ -272,19 +282,111 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
         theta0_init, tau_init = _prefit_delay(net0, spectra, cfg.theta0,
                                               cfg.tau)
     x0 = _pack(net0, theta0_init, tau_init, free)
-    from scipy.optimize import least_squares
-    res = least_squares(residuals, x0, jac=jacobian, method="lm",
-                        xtol=cfg.tol, ftol=cfg.tol, gtol=cfg.tol,
-                        max_nfev=cfg.max_eval)
+    res = _lm(residuals, jacobian, x0, cfg.tol, cfg.max_eval)
     net_f, th_f, ta_f = _unpack(res.x, net0, cfg.theta0, cfg.tau, free)
     stderr = _standard_errors(res, free, net0.n)
     if not chi_reported:
         stderr["chi"] = None
     return FitResult(network=net_f, theta0=th_f, tau=ta_f, stderr=stderr,
                      residual_norm=float(np.sqrt(2.0 * res.cost)),
-                     converged=bool(res.success and np.isfinite(res.cost)),
-                     chi_reported=chi_reported, n_eval=n_eval,
-                     n_jac=n_jac)
+                     converged=res.success, chi_reported=chi_reported,
+                     n_eval=n_eval, n_jac=n_jac)
+
+
+def _lm(fun, jac, x0, tol, max_eval):
+    """Moré's Levenberg-Marquardt (LNM 630, 1978): MINPACK lmder in mode 1.
+
+    tol is lmder's ftol, xtol and gtol; max_eval counts calls of fun.  One
+    decomposition J/D = U S V^T per Jacobian makes every trial step
+    D p = -V S (S^2 + par)^-1 U^T f cost O(n), lmpar's included: the SVD of
+    R from the QR of [J/D | f], or, for a tall J/D (10 rows per column or
+    more) with cond(J/D) <= 1e4, the eigenpairs of (J/D)^T (J/D), S to
+    about 1e-8 at a quarter of the QR's time on a spectrum fit.  With
+    tol >= eps lmder's info 6-8 cannot fire before 1-4 and are left out;
+    success is info 1-4.
+    """
+    x = np.array(x0, dtype=float)
+    f = fun(x)
+    tall = f.size >= 10 * x.size
+    n_eval, fnorm, par, diag = 1, np.linalg.norm(f), 0.0, None
+    first = moved = True  # no step accepted yet, no Jacobian at x yet
+    done = stalled = max_eval < 2  # lmder would make one trial step
+    while not done:
+        jx, moved = jac(x), False
+        gram = jx.T @ jx
+        acnorm = np.sqrt(np.diag(gram))
+        if diag is None:
+            diag = np.where(acnorm > 0.0, acnorm, 1.0)
+            xnorm = np.linalg.norm(diag * x)
+            delta = 100.0 * xnorm or 100.0
+        diag, g, nz = np.maximum(diag, acnorm), jx.T @ f, acnorm > 0.0
+        # info 4: f is within tol of orthogonal to every Jacobian column
+        if not fnorm or np.max(np.abs(g[nz]) / acnorm[nz], initial=0.0) <= tol * fnorm:
+            break
+        if tall:
+            s2, v = np.linalg.eigh(gram / np.outer(diag, diag))
+            sc = v.T @ (g / diag)
+        if not tall or s2[0] <= 1e-8 * s2[-1]:
+            r = np.linalg.qr(np.column_stack((jx / diag, f)), mode="r")
+            u, s, vt = np.linalg.svd(r[:, :-1], full_matrices=False)
+            s2, v, sc = s * s, vt.T, s * (u.T @ r[:, -1])
+        while not (moved or done):
+            par, w = _lmpar(s2, sc, delta, par)
+            pnorm = np.linalg.norm(w)
+            delta = min(delta, pnorm) if first else delta
+            x_new = x - (v @ w) / diag
+            f_new, n_eval = fun(x_new), n_eval + 1
+            fnorm1 = np.linalg.norm(f_new)
+            actred = 1.0 - (fnorm1 / fnorm) ** 2 if 0.1 * fnorm1 < fnorm else -1.0
+            t1, t2 = np.sum(s2 * w * w) / fnorm ** 2, par * (pnorm / fnorm) ** 2
+            prered = t1 + 2.0 * t2
+            ratio = actred / prered if prered else 0.0
+            if ratio <= 0.25:
+                t = 0.5 * (t1 + t2) / (t1 + t2 - 0.5 * actred) if actred < 0 else 0.5
+                t = 0.1 if 0.1 * fnorm1 >= fnorm else max(t, 0.1)
+                delta, par = t * min(delta, 10.0 * pnorm), par / t
+            elif par == 0.0 or ratio >= 0.75:
+                delta, par = 2.0 * pnorm, 0.5 * par
+            if ratio >= 1e-4:
+                x, f, fnorm, moved, first = x_new, f_new, fnorm1, True, False
+                xnorm = np.linalg.norm(diag * x)
+            done = abs(actred) <= tol and prered <= tol and ratio <= 2.0 \
+                or delta <= tol * xnorm
+            stalled = not done and n_eval >= max_eval
+            done |= stalled
+    jx = jac(x) if moved else jx
+    return SimpleNamespace(x=x, cost=0.5 * fnorm ** 2, jac=jx, success=not stalled)
+
+
+def _lmpar(s2, sc, delta, par):
+    """lmder's lmpar in the basis V: par and the step w = -V^T D p.
+
+    Moré's Newton iteration on 1/delta - 1/|D p|, kept in [parl, paru] and
+    started from the last par, stops at |D p| = delta +- 10 % or after 10
+    steps; par = 0 if the Gauss-Newton step (pseudo-inverse where J/D is
+    singular) is shorter.
+    """
+    full = s2 > s2.max() * (np.finfo(float).eps * s2.size) ** 2
+    w = np.divide(sc, s2, out=np.zeros_like(sc), where=full)
+    fp = np.linalg.norm(w) - delta
+    if fp <= 0.1 * delta:
+        return 0.0, w
+
+    def newton(par):  # the Newton step from par, at the current w and fp
+        return fp / delta * (w @ w) / np.sum(w * w / (s2 + par))
+
+    parl = newton(0.0) if full.all() else 0.0
+    gnorm, tiny = np.linalg.norm(sc), np.finfo(float).tiny
+    paru = gnorm / delta or tiny / min(delta, 0.1)
+    par = min(max(par, parl), paru) or gnorm / np.linalg.norm(w)
+    for it in range(10):
+        par = par or max(tiny, 0.001 * paru)
+        w = sc / (s2 + par)
+        fp_old, fp = fp, np.linalg.norm(w) - delta
+        if abs(fp) <= 0.1 * delta or parl == 0.0 and fp <= fp_old < 0.0 or it == 9:
+            return par, w
+        parl, paru = (max(parl, par), paru) if fp > 0.0 else (parl, min(paru, par))
+        par = max(parl, par + newton(par))
 
 
 def _standard_errors(res, free: list[str], n_ch: int) -> dict:

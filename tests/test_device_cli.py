@@ -1088,6 +1088,27 @@ class TestToleranceAndNames:
         assert "must be > 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tol", ["1e-20", "1e-16", "inf"])
+    def test_fit_tol_outside_lm_range_exit_2(self, device_path, tmp_path,
+                                             capsys, tol):
+        spec = tmp_path / "g.csv"
+        spec.write_text(SPEC_OK)
+        out = tmp_path / "out"
+        assert run(["fit", "--device", str(device_path), "--spec-g",
+                    str(spec), "--tol", tol, "--out", str(out)]) == 2
+        assert "machine epsilon" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fit_fewer_points_than_parameters_exit_2(self, device_path,
+                                                     tmp_path, capsys):
+        spec = tmp_path / "g.csv"
+        spec.write_text(SPEC_OK)
+        out = tmp_path / "out"
+        assert run(["fit", "--device", str(device_path), "--spec-g",
+                    str(spec), "--out", str(out)]) == 2
+        assert "18 free parameters" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_small_guard_reaches_near_pole(self, device_path, tmp_path):
         f_pole = load_device(device_path).pair("Q1").f_r
         argv = ["z21", "--device", str(device_path), "--pair", "Q1",
@@ -1234,9 +1255,9 @@ print(json.dumps(seen))
 """
 
 
-def test_cli_loads_scipy_only_where_used(device_path, tmp_path):
-    # scipy.optimize alone is about 0.5 s of a cold start: every command but
-    # fit must run without loading any scipy module
+def test_cli_loads_no_scipy(device_path, tmp_path):
+    # scipy.optimize alone is about 0.5 s of a cold start: every command,
+    # fit included, must run without loading any scipy module
     from notchlab import synth_spectrum
 
     net = load_device(device_path).mux_network()
@@ -1274,9 +1295,9 @@ def test_cli_loads_scipy_only_where_used(device_path, tmp_path):
              *out("trace.csv")],
             ["separation", *dev, "--pair", "Q2", "--pulse", pulse,
              *out("sep.csv")],
+            ["fit", *dev, "--spec-g", str(tmp_path / "g.csv"),
+             "--spec-e", str(tmp_path / "e.csv"), *out("fit.json")],
         ],
-        "fit": [["fit", *dev, "--spec-g", str(tmp_path / "g.csv"),
-                 "--spec-e", str(tmp_path / "e.csv"), *out("fit.json")]],
     }
     src = str(Path(notchlab.cli.__file__).parents[1])
     env = dict(os.environ)
@@ -1289,7 +1310,6 @@ def test_cli_loads_scipy_only_where_used(device_path, tmp_path):
     for phase, argvs in phases.items():
         assert seen[phase][0] == [0] * len(argvs), proc.stderr
     assert seen["numpy_only"][1] == []
-    assert "scipy.optimize" in seen["fit"][1]
 
 
 def test_cli_never_loads_jsonschema(device_path, tmp_path):

@@ -530,10 +530,9 @@ class TestMetricsConstants:
         assert metrics.hbar == hbar
 
     @pytest.mark.parametrize("name", sorted(
-        path.stem for path in Path(notchlab.__file__).parent.glob("*.py")
-        if path.stem != "specfit"))
+        path.stem for path in Path(notchlab.__file__).parent.glob("*.py")))
     def test_module_imports_no_scipy(self, name):
-        # scipy loads only for the optimizer (specfit)
+        # scipy is a test dependency only
         module = importlib.import_module(f"notchlab.{name}")
         tree = ast.parse(inspect.getsource(module))
         names = [a.name for node in ast.walk(tree)

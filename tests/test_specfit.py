@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -384,7 +385,6 @@ def test_n_jac_counts_every_jacobian_evaluation(monkeypatch, max_eval):
 
 
 def test_one_least_squares_call_per_fit(monkeypatch):
-    import scipy.optimize
     ch = ReadoutChannel(name="Q", f_r_g=10386e6, chi=-9.9e6, f_p=10407e6,
                         j=39.4e6, kappa_p=81.4e6)
     net = MuxNetwork(channels=(ch,), shunt=PAPER_SHUNT)
@@ -394,12 +394,13 @@ def test_one_least_squares_call_per_fit(monkeypatch):
     guess = dataclasses.replace(net, channels=(
         dataclasses.replace(ch, f_r_g=ch.f_r_g + 1e6, j=ch.j + 0.5e6),))
     calls = []
+    inner = notchlab.specfit._lm
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs["max_nfev"])
-        return least_squares(*args, **kwargs)
+    def counted(fun, jac, x0, tol, max_eval):
+        calls.append(max_eval)
+        return inner(fun, jac, x0, tol, max_eval)
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", counted)
+    monkeypatch.setattr(notchlab.specfit, "_lm", counted)
     for max_eval, converged in ((20000, True), (3, False)):
         res = fit_reflection(spec_g, spec_e, FitConfig(
             initial=guess, theta0=0.6, tau=0.25e-9, max_eval=max_eval))
@@ -434,17 +435,17 @@ def test_jacobian_past_zero_j_matches_central_differences(mux_net,
                                                           monkeypatch):
     # past J = 0 the network takes |x|, so the j columns carry d|x|/dx = -1;
     # checked on the residuals and Jacobian that the fit hands LM
-    import scipy.optimize
     grid = GRID[::3]
     spec_g = synth_spectrum(mux_net, "g", THETA0, TAU, grid, 0.0)
     spec_e = synth_spectrum(mux_net, "e", THETA0, TAU, grid, 0.0)
     seen = {}
+    inner = notchlab.specfit._lm
 
-    def capture(fun, x0, jac, **kwargs):
+    def capture(fun, jac, x0, tol, max_eval):
         seen.update(fun=fun, x0=x0, jac=jac)
-        return least_squares(fun, x0, jac=jac, **kwargs)
+        return inner(fun, jac, x0, tol, max_eval)
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", capture)
+    monkeypatch.setattr(notchlab.specfit, "_lm", capture)
     fit_reflection(spec_g, spec_e, FitConfig(initial=mux_net, theta0=THETA0,
                                              tau=TAU))
     sf = notchlab.specfit
@@ -491,17 +492,17 @@ def test_bounded_groups_past_zero_take_the_magnitude(mux_net, monkeypatch):
     # past zero the network takes |x| for J, kappa_p and the internal
     # linewidths: the fit's residuals repeat and those Jacobian columns
     # flip sign
-    import scipy.optimize
     net = with_internal_loss(mux_net, np.random.default_rng(43))
     spectra = [synth_spectrum(net, s, THETA0, TAU, GRID[::3], 0.0)
                for s in "ge"]
     seen = {}
+    inner = notchlab.specfit._lm
 
-    def capture(fun, x0, jac, **kwargs):
+    def capture(fun, jac, x0, tol, max_eval):
         seen.update(fun=fun, x0=x0, jac=jac)
-        return least_squares(fun, x0, jac=jac, **kwargs)
+        return inner(fun, jac, x0, tol, max_eval)
 
-    monkeypatch.setattr(scipy.optimize, "least_squares", capture)
+    monkeypatch.setattr(notchlab.specfit, "_lm", capture)
     fit_reflection(*spectra, FitConfig(initial=net, theta0=THETA0, tau=TAU,
                                        fix=(), max_eval=3))
     bounded = np.array([name.split("[")[0] in ("j", "kappa_p", "gamma_r",
@@ -549,3 +550,145 @@ def test_lossless_network_phase_is_stationary_in_internal_loss(mux_net):
     jac = notchlab.specfit._phase_jacobian(mux_net, spectra, free)
     for k, name in enumerate(free):
         assert np.all(jac[:, k] == 0) == name.startswith("gamma_"), name
+
+
+class TestFitConfigLimits:
+    """tol from machine epsilon up and finite; max_eval an integer >= 1."""
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, 1e-20, 1e-16, math.inf,
+                                     math.nan])
+    def test_tol_outside_range_rejected(self, mux_net, tol):
+        with pytest.raises(ValidationError, match="tol must be > 0"):
+            FitConfig(initial=mux_net, tol=tol)
+
+    @pytest.mark.parametrize("max_eval", [0, -5, 1.5, True, "20"])
+    def test_max_eval_not_a_positive_integer_rejected(self, mux_net,
+                                                      max_eval):
+        with pytest.raises(ValidationError, match="max_eval must be"):
+            FitConfig(initial=mux_net, max_eval=max_eval)
+
+    def test_limits_accepted(self, mux_net):
+        FitConfig(initial=mux_net, tol=np.finfo(float).eps, max_eval=1)
+        FitConfig(initial=mux_net, tol=0.5, max_eval=np.int64(7))
+
+    def test_max_eval_one_evaluates_once(self, mux_net):
+        spec_g, spec_e, cfg = criterion_9_inputs(mux_net, 0)
+        res = fit_reflection(spec_g, spec_e,
+                             dataclasses.replace(cfg, max_eval=1))
+        assert not res.converged
+        assert res.n_eval == res.n_jac == 1
+
+    def test_fewer_points_than_free_parameters_rejected(self, mux_net):
+        # one spectrum freezes chi: 4 channels x 4 groups + theta0 + tau
+        grid = np.linspace(10.0e9, 10.9e9, 18)
+        cfg = FitConfig(initial=mux_net, max_eval=2)
+        with pytest.raises(ValidationError, match="18 free parameters"):
+            fit_reflection(synth_spectrum(mux_net, "g", THETA0, TAU,
+                                          grid[:17], 0.0), None, cfg)
+        fit_reflection(synth_spectrum(mux_net, "g", THETA0, TAU, grid, 0.0),
+                       None, cfg)
+
+
+def minpack_lm(fun, jac, x0, tol, max_eval):
+    """The MINPACK lmder pass that _lm ports, in mode 1, through scipy."""
+    res = least_squares(fun, x0, jac=jac, method="lm", x_scale="jac",
+                        xtol=tol, ftol=tol, gtol=tol, max_nfev=max_eval)
+    return SimpleNamespace(x=res.x, cost=res.cost, jac=res.jac,
+                           success=res.success)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_fit_matches_minpack(mux_net, monkeypatch, seed):
+    spec_g, spec_e, cfg = criterion_9_inputs(mux_net, seed)
+    res = fit_reflection(spec_g, spec_e, cfg)
+    monkeypatch.setattr(notchlab.specfit, "_lm", minpack_lm)
+    ref = fit_reflection(spec_g, spec_e, cfg)
+    assert res.converged and ref.converged
+    assert res.residual_norm == pytest.approx(ref.residual_norm, rel=1e-9)
+    for fit, ref_ch in zip(res.network.channels, ref.network.channels):
+        assert abs(fit.chi - ref_ch.chi) <= 1.0
+    for key, val in ref.stderr.items():
+        assert res.stderr[key] == pytest.approx(val, rel=1e-6), key
+    assert abs(res.n_eval - ref.n_eval) <= 1
+
+
+_R5, _R10 = math.sqrt(5.0), math.sqrt(10.0)
+# duplicate-parameter decay c exp(-(a + b) t): J/D is singular everywhere,
+# and 40 rows for 3 columns take the normal-matrix branch first
+_T = np.linspace(0.0, 4.0, 40)
+_Y = 2.0 * np.exp(-0.5 * _T) + 0.01 * np.sin(7.0 * _T)
+# Moré, Garbow & Hillstrom, ACM TOMS 7, 17 (1981): residuals, Jacobian and
+# standard starting point
+MGH = {
+    "rosenbrock": (
+        lambda x: np.array([10.0 * (x[1] - x[0] ** 2), 1.0 - x[0]]),
+        lambda x: np.array([[-20.0 * x[0], 10.0], [-1.0, 0.0]]),
+        [-1.2, 1.0]),
+    "freudenstein_roth": (
+        lambda x: np.array([-13.0 + x[0] + ((5.0 - x[1]) * x[1] - 2.0) * x[1],
+                            -29.0 + x[0] + ((x[1] + 1.0) * x[1] - 14.0) * x[1]]),
+        lambda x: np.array([[1.0, 10.0 * x[1] - 3.0 * x[1] ** 2 - 2.0],
+                            [1.0, 3.0 * x[1] ** 2 + 2.0 * x[1] - 14.0]]),
+        [0.5, -2.0]),
+    "brown_badly_scaled": (
+        lambda x: np.array([x[0] - 1e6, x[1] - 2e-6, x[0] * x[1] - 2.0]),
+        lambda x: np.array([[1.0, 0.0], [0.0, 1.0], [x[1], x[0]]]),
+        [1.0, 1.0]),
+    "powell_singular": (
+        lambda x: np.array([x[0] + 10.0 * x[1], _R5 * (x[2] - x[3]),
+                            (x[1] - 2.0 * x[2]) ** 2,
+                            _R10 * (x[0] - x[3]) ** 2]),
+        lambda x: np.array([
+            [1.0, 10.0, 0.0, 0.0], [0.0, 0.0, _R5, -_R5],
+            [0.0, 2.0 * (x[1] - 2.0 * x[2]), -4.0 * (x[1] - 2.0 * x[2]), 0.0],
+            [2.0 * _R10 * (x[0] - x[3]), 0.0, 0.0,
+             -2.0 * _R10 * (x[0] - x[3])]]),
+        [3.0, -1.0, 0.0, 1.0]),
+    "duplicate_parameter": (
+        lambda x: x[2] * np.exp(-(x[0] + x[1]) * _T) - _Y,
+        lambda x: np.column_stack(
+            [-_T * x[2] * np.exp(-(x[0] + x[1]) * _T)] * 2
+            + [np.exp(-(x[0] + x[1]) * _T)]),
+        [0.1, 0.2, 1.0]),
+}
+
+
+def lm_and_minpack(name, tol):
+    """_lm and MINPACK on one problem: both results and evaluation counts."""
+    fun, jac, x0 = MGH[name]
+    counts = []
+
+    def counted(x):
+        counts[-1] += 1
+        return fun(x)
+
+    out = []
+    for lm in (notchlab.specfit._lm, minpack_lm):
+        counts.append(0)
+        out.append(lm(counted, jac, np.array(x0), tol, 2000))
+    return out, counts
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-12])
+class TestLmAgainstMinpack:
+    @pytest.mark.parametrize("name", ["rosenbrock", "freudenstein_roth",
+                                      "brown_badly_scaled"])
+    def test_same_path(self, name, tol):
+        (res, ref), (n_res, n_ref) = lm_and_minpack(name, tol)
+        assert res.success and ref.success
+        assert n_res == n_ref
+        assert res.cost == pytest.approx(ref.cost, rel=1e-10, abs=1e-30)
+        np.testing.assert_allclose(res.x, ref.x, rtol=1e-6)
+
+    def test_powell_singular_jacobian_at_the_solution(self, tol):
+        (res, ref), (n_res, n_ref) = lm_and_minpack("powell_singular", tol)
+        assert res.success and ref.success
+        assert res.cost <= 1e-40
+        assert abs(n_res - n_ref) <= 0.2 * n_ref
+
+    def test_rank_deficient_duplicate_parameter(self, tol):
+        (res, ref), _ = lm_and_minpack("duplicate_parameter", tol)
+        assert res.success and ref.success
+        assert res.cost == pytest.approx(ref.cost, rel=1e-10)
+        assert res.x[0] + res.x[1] == pytest.approx(ref.x[0] + ref.x[1],
+                                                    rel=1e-6)
