@@ -21,6 +21,7 @@ import math
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,6 +49,9 @@ BLOCK_STEPS = 1024
 NOISE_GRID_START = 4001
 NOISE_GRID_MAX = 2 ** 18 + 1
 NOISE_GRID_RTOL = 1e-9
+
+# rows of MuxNetwork.params, in the order the spectrum fit lays out its x
+PARAM_ROWS = ("f_r_g", "f_p", "j", "kappa_p", "chi", "gamma_r", "gamma_p")
 
 
 @dataclass(frozen=True)
@@ -121,6 +125,14 @@ class MuxNetwork:
     def n(self) -> int:
         return len(self.channels)
 
+    @cached_property
+    def params(self) -> np.ndarray:
+        """Read-only (parameter, channel) float array; rows PARAM_ROWS (Hz)."""
+        p = np.array([[getattr(ch, row) for ch in self.channels]
+                      for row in PARAM_ROWS], dtype=float)
+        p.flags.writeable = False
+        return p
+
     def index(self, name: str) -> int:
         for i, ch in enumerate(self.channels):
             if ch.name == name:
@@ -143,78 +155,67 @@ def shunt_reflection(shunt: ShuntLC, z0: float, f) -> complex:
     return _scalar_or_array((1.0 - z0 * y) / (1.0 + z0 * y), scalar)
 
 
-def _branch_terms(ch: ReadoutChannel, state: str, f):
-    """Angular-unit terms (kap, a, w, j4) of one branch at frequencies f.
-
-    a = gamma_p - 2i Delta_p, w = gamma_r - 2i Delta_r and j4 = 4 J^2; a J
-    whose square overflows raises NumericalError.
-    """
-    f = np.asarray(f, dtype=float)
-    d_r = TWO_PI * (ch.f_r(state) - f)
-    d_p = TWO_PI * (ch.f_p - f)
-    try:
-        j4 = 4.0 * (TWO_PI * ch.j) ** 2
-    except OverflowError:
-        raise NumericalError(f"channel {ch.name!r}: 4 J^2 overflows at "
-                             f"J = {ch.j:.6g} Hz") from None
-    return (TWO_PI * ch.kappa_p, TWO_PI * ch.gamma_p - 2j * d_p,
-            TWO_PI * ch.gamma_r - 2j * d_r, j4)
-
-
-def _branch_admittance(ch: ReadoutChannel, state: str, f):
+def _branch(p, state: str, f, name: str):
     """Normalized load admittance (1 - Gamma_p)/(1 + Gamma_p) of one branch.
 
-    Engineering-convention form of the input-output reflection:
-    u = kappa_p w / (a w + 4 J^2) in the terms of _branch_terms.
-    Returns (u, pole_mask); pole_mask marks exact Gamma_p = -1 points.
+    p is the branch's MuxNetwork.params column as floats.  Engineering-
+    convention form of the input-output reflection, in angular units:
+    u = kappa_p w / den with a = gamma_p - 2i Delta_p, w = gamma_r -
+    2i Delta_r, j4 = 4 J^2 and den = a w + j4; a bare filter (J = 0) takes
+    u = kappa_p / a, which removes the 0/0 at w = 0.  Returns (u, pole,
+    terms): pole marks exact Gamma_p = -1 points, terms = (kap, a, w, j4,
+    den).  A J whose square overflows raises NumericalError naming the
+    channel.
     """
-    kap, a, wfac, j4 = _branch_terms(ch, state, f)
-    den = a * wfac + j4
-    pole = den == 0.0
-    safe_den = np.where(pole, 1.0, den)
-    u = kap * wfac / safe_den
+    f_r_g, f_p, j, kappa_p, chi, gamma_r, gamma_p = p
+    f_r = f_r_g + 2.0 * chi if state == "e" else f_r_g
+    try:
+        j4 = 4.0 * (TWO_PI * j) ** 2
+    except OverflowError:
+        raise NumericalError(f"channel {name!r}: 4 J^2 overflows at "
+                             f"J = {j:.6g} Hz") from None
+    kap = TWO_PI * kappa_p
+    a = TWO_PI * gamma_p - 2j * (TWO_PI * (f_p - f))
+    w = TWO_PI * gamma_r - 2j * (TWO_PI * (f_r - f))
+    den = a * w + j4
     if j4 == 0.0:
-        # readout factor cancels; bare-filter admittance (removes 0/0 at w=0)
         pole = a == 0.0
         u = kap / np.where(pole, 1.0, a)
-    u = np.where(pole, np.inf + 0j, u)
-    return u, pole
+    else:
+        pole = den == 0.0
+        u = kap * w / np.where(pole, 1.0, den)
+    return np.where(pole, np.inf + 0j, u), pole, (kap, a, w, j4, den)
 
 
-def _branch_partials(ch: ReadoutChannel, state: str, f) -> dict:
-    """Partial derivatives of _branch_admittance's u per Hz of each parameter.
+def _branch_partials(p, state: str, terms) -> np.ndarray:
+    """Partial derivatives of _branch's u per Hz of each parameter.
 
-    Keyed by the ReadoutChannel fields f_r_g, chi, f_p, j, kappa_p, gamma_r
-    and gamma_p.  With a = gamma_p - 2i Delta_p and den = a w + 4 J^2:
+    One row per PARAM_ROWS entry, at the _branch `terms` of column p in
+    `state`.  With a = gamma_p - 2i Delta_p and den = a w + 4 J^2:
     du/dw = kappa 4 J^2 / den^2, du/da = -kappa w^2 / den^2,
     du/d(4 J^2) = -kappa w / den^2 and du/dkappa = w / den.  A bare filter
     (J = 0) takes the limit u = kappa / a, which depends on neither w nor J,
     so there is no 0/0 at w = 0.  Values at pole points (den = 0) are
     placeholders: gamma_incident rejects those frequencies.
     """
-    kap, a, wfac, j4 = _branch_terms(ch, state, f)
+    kap, a, wfac, j4, den = terms
     if j4 == 0.0:
         inv = 1.0 / np.where(a == 0.0, 1.0, a)
         du_dkap = inv
         du_da = -kap * inv * inv
         du_dw = du_dj = np.zeros_like(a)
     else:
-        den = a * wfac + j4
         inv = 1.0 / np.where(den == 0.0, 1.0, den)
         du_dkap = wfac * inv
         du_da = -kap * du_dkap * du_dkap
         du_dw = kap * j4 * inv * inv
         # d(4 J^2)/dJ = 8 (2 pi)^2 J
-        du_dj = -kap * du_dkap * inv * (2.0 * j4 / ch.j)
+        du_dj = -kap * du_dkap * inv * (2.0 * j4 / p[PARAM_ROWS.index("j")])
     # dw/df_r = da/df_p = -2i (2 pi); f_r = f_r_g + 2 chi in state e
     du_df_r = -2j * TWO_PI * du_dw
-    return {"f_r_g": du_df_r,
-            "chi": 2.0 * du_df_r if state == "e" else np.zeros_like(a),
-            "f_p": -2j * TWO_PI * du_da,
-            "j": du_dj,
-            "kappa_p": TWO_PI * du_dkap,
-            "gamma_r": TWO_PI * du_dw,
-            "gamma_p": TWO_PI * du_da}
+    return np.array([du_df_r, -2j * TWO_PI * du_da, du_dj, TWO_PI * du_dkap,
+                     2.0 * du_df_r if state == "e" else np.zeros_like(a),
+                     TWO_PI * du_dw, TWO_PI * du_da])
 
 
 def gamma_filter(ch: ReadoutChannel, state: str, f_d) -> complex:
@@ -224,23 +225,43 @@ def gamma_filter(ch: ReadoutChannel, state: str, f_d) -> complex:
     (bare over-coupled filter on resonance) returns the limit value -1.
     """
     f, scalar = _freq_array(f_d)
-    u, pole = _branch_admittance(ch, state, f)
+    ch.f_r(state)  # ValidationError unless state is 'g' or 'e'
+    p = [float(getattr(ch, row)) for row in PARAM_ROWS]
+    u, pole, _ = _branch(p, state, f, ch.name)
     with np.errstate(invalid="ignore"):
         out = np.where(pole, -1.0 + 0j, (1.0 - u) / (1.0 + u))
     return _scalar_or_array(out, scalar)
 
 
-def _total_admittance(net: MuxNetwork, state: str, f: np.ndarray):
-    """Normalized admittance z0/Z_shunt + sum_j u_j at the common node."""
-    total = net.z0_line * net.shunt.admittance(f) + 0j
-    for ch, s in zip(net.channels, state):
-        u, pole = _branch_admittance(ch, s, f)
-        if np.any(pole):
-            raise CompositionPoleError(
-                f"channel {ch.name!r} reflects with Gamma_p = -1 at the "
-                "requested frequency")
-        total = total + u
-    return total
+def _reflection(p: np.ndarray, names, state: str, f: np.ndarray,
+                y_shunt: np.ndarray, terms: list | None = None):
+    """(Gamma, Y) of the network: Y = y_shunt + sum_j u_j at the common node.
+
+    p has the MuxNetwork.params layout, y_shunt = z0/Z_shunt(f) + 0j.  The
+    u_j are added in channel order (the reflect goldens pin that order); a
+    given `terms` list collects each branch's terms, else they are freed one
+    channel at a time.  Raises as gamma_incident; a branch pole names the
+    first such channel.
+    """
+    total = y_shunt
+    with np.errstate(over="ignore", invalid="ignore"):
+        for col, s, name in zip(p.T.tolist(), state, names):
+            u, pole, t = _branch(col, s, f, name)
+            if np.any(pole):
+                raise CompositionPoleError(
+                    f"channel {name!r} reflects with Gamma_p = -1 at the "
+                    "requested frequency")
+            total = total + u
+            if terms is not None:
+                terms.append(t)
+            del t  # freed before the next branch: long grids stay fast
+        if np.any(np.abs(1.0 + total) == 0.0):
+            raise CompositionPoleError("total admittance sum hit -1 exactly")
+        gam = (1.0 - total) / (1.0 + total)
+    if not np.all(np.isfinite(gam)):
+        raise NumericalError("reflection coefficient is not finite; a "
+                             "parameter overflows the float range")
+    return gam, total
 
 
 def gamma_incident(net: MuxNetwork, state: str, f_d) -> complex:
@@ -250,18 +271,14 @@ def gamma_incident(net: MuxNetwork, state: str, f_d) -> complex:
     (1 - G)/(1 + G) = z0/Z_shunt + sum_j (1 - G_pj)/(1 + G_pj).
     A branch sitting exactly at Gamma_p = -1 makes the sum diverge and is
     reported as CompositionPoleError; a result that is not finite (parameters
-    beyond the float range) as NumericalError.
+    beyond the float range) as NumericalError.  Branches are evaluated one
+    at a time: a (channel, frequency) broadcast is slower on long grids.
     """
     state = validate_state(net, state)
     f, scalar = _freq_array(f_d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = _total_admittance(net, state, f)
-        if np.any(np.abs(1.0 + total) == 0.0):
-            raise CompositionPoleError("total admittance sum hit -1 exactly")
-        gam = (1.0 - total) / (1.0 + total)
-    if not np.all(np.isfinite(gam)):
-        raise NumericalError("reflection coefficient is not finite; a "
-                             "parameter overflows the float range")
+    y_shunt = net.z0_line * net.shunt.admittance(f) + 0j
+    gam, _ = _reflection(net.params, [ch.name for ch in net.channels], state,
+                         f, y_shunt)
     return _scalar_or_array(gam, scalar)
 
 
@@ -280,17 +297,15 @@ def system_matrix(net: MuxNetwork, state: str, f_d: float,
     gs = (shunt_reflection(net.shunt, net.z0_line, f_d)
           if gamma_shunt is None else complex(gamma_shunt))
     a = np.zeros((2 * n, 2 * n), dtype=complex)
-    kap = np.array([TWO_PI * ch.kappa_p for ch in net.channels])
-    root_k = np.sqrt(kap)
-    off = 0.25j * (1.0 + gs) * np.outer(root_k, root_k)
-    a[:n, :n] = off
-    for i, (ch, s) in enumerate(zip(net.channels, state)):
-        w_p = TWO_PI * (ch.f_p - f_d)
-        w_r = TWO_PI * (ch.f_r(s) - f_d)
-        a[i, i] += w_p + 0.5j * TWO_PI * ch.gamma_p
-        a[n + i, n + i] = w_r + 0.5j * TWO_PI * ch.gamma_r
-        a[i, n + i] = TWO_PI * ch.j
-        a[n + i, i] = TWO_PI * ch.j
+    root_k = np.sqrt(TWO_PI * net.params[PARAM_ROWS.index("kappa_p")])
+    a[:n, :n] = 0.25j * (1.0 + gs) * np.outer(root_k, root_k)
+    # one float column per channel: scalar writes beat fancy indexing at N <= 8
+    for i, (f_r_g, f_p, j, _, chi, gamma_r, gamma_p) in enumerate(
+            net.params.T.tolist()):
+        f_r = f_r_g + 2.0 * chi if state[i] == "e" else f_r_g
+        a[i, i] += TWO_PI * (f_p - f_d) + 0.5j * TWO_PI * gamma_p
+        a[n + i, n + i] = TWO_PI * (f_r - f_d) + 0.5j * TWO_PI * gamma_r
+        a[i, n + i] = a[n + i, i] = TWO_PI * j
     d = np.zeros(2 * n, dtype=complex)
     d[:n] = 0.5 * (1.0 + gs) * root_k
     return a, d
@@ -396,22 +411,20 @@ class DrivePulse:
     def sample_intervals(self):
         """Piecewise-constant sampling of the envelope.
 
-        Returns (t0, t1, amplitude) triples covering [0, duration);
-        raised-cosine edges are subdivided at <= 0.1 ns.  Each amplitude is
-        `envelope` at the interval midpoint (t0 + t1) / 2.
+        Returns arrays (t0, t1, amplitude), one entry per interval, covering
+        [0, duration); raised-cosine edges are subdivided at <= 0.1 ns.  Each
+        amplitude is `envelope` at the interval midpoint (t0 + t1) / 2.
         """
-        bounds = []
-        t0 = 0.0
+        starts, ends, t0 = [], [], 0.0
         for seg in self.segments:
-            if seg.edge == "flat":
-                bounds.append((t0, t0 + seg.duration))
-            else:
-                nsub = max(1, math.ceil(seg.duration / EDGE_SAMPLE_MAX_S))
-                h = seg.duration / nsub
-                bounds.extend((t0 + k * h, t0 + (k + 1) * h) for k in range(nsub))
+            nsub = 1 if seg.edge == "flat" else max(
+                1, math.ceil(seg.duration / EDGE_SAMPLE_MAX_S))
+            k, h = np.arange(nsub), seg.duration / nsub
+            starts.append(t0 + k * h)
+            ends.append(t0 + (k + 1) * h)
             t0 += seg.duration
-        amps = self.envelope([0.5 * (a + b) for a, b in bounds])
-        return [(a, b, amp) for (a, b), amp in zip(bounds, amps.tolist())]
+        t0s, t1s = np.concatenate(starts), np.concatenate(ends)
+        return t0s, t1s, self.envelope(0.5 * (t0s + t1s))
 
 
 @dataclass(frozen=True)
@@ -512,7 +525,7 @@ def propagate(net: MuxNetwork, state: str | Sequence[str], pulse: DrivePulse,
         out_times = np.append(out_times, t_end)
 
     # merge envelope-sample boundaries with output times
-    starts, ends, amps = map(np.array, zip(*pulse.sample_intervals()))
+    starts, ends, amps = pulse.sample_intervals()
     cuts = np.unique(np.concatenate([out_times, starts, ends]))
     cuts = cuts[(cuts >= 0) & (cuts <= t_end + 1e-15)]
     cuts = cuts[np.insert(np.diff(cuts) > 1e-15, 0, True)]
@@ -735,18 +748,22 @@ def separation(net: MuxNetwork, target: str, pulse: DrivePulse,
     # the cheap frequency-domain values first: they fail fast on overflow
     g_g = gamma_incident(net, state_g, pulse.f_d)
     g_e = gamma_incident(net, state_e, pulse.f_d)
+    # plateau amplitude: the last segment that actually drives the network
+    amp_ss = next((seg.amplitude for seg in reversed(pulse.segments)
+                   if abs(seg.amplitude) > 0), 0.0)
+    s_ss = abs(amp_ss) * abs(g_e - g_g)
+    with np.errstate(over="ignore"):
+        gamma_m = float(0.5 * np.float64(s_ss) ** 2)
+    if gamma_m == math.inf:
+        raise NumericalError(f"Gamma_m = S_ss^2/2 overflows: S_ss = {s_ss:.6g} "
+                             f"at plateau amplitude {abs(amp_ss):.6g}")
     tr_g, tr_e = propagate(net, (state_g, state_e), pulse, dt_out)
     s = np.abs(tr_e.s_out - tr_g.s_out)
     gs = shunt_reflection(net.shunt, net.z0_line, pulse.f_d)
     root_k = math.sqrt(TWO_PI * net.channels[idx].kappa_p)
     s_single = abs(0.5 * (1.0 + gs)) * root_k * np.abs(tr_e.p[idx] - tr_g.p[idx])
-    # plateau amplitude: the last segment that actually drives the network
-    amp_ss = next((seg.amplitude for seg in reversed(pulse.segments)
-                   if abs(seg.amplitude) > 0), 0.0)
-    s_ss = abs(amp_ss) * abs(g_e - g_g)
     return SeparationResult(t=tr_g.t, s=s, s_target_only=s_single, s_ss=s_ss,
-                            gamma_m=0.5 * s_ss ** 2, traces_g=tr_g,
-                            traces_e=tr_e)
+                            gamma_m=gamma_m, traces_g=tr_g, traces_e=tr_e)
 
 
 def noise_photon_bound(net: MuxNetwork, target: str, gamma_phi: float) -> float:
@@ -766,10 +783,9 @@ def noise_photon_bound(net: MuxNetwork, target: str, gamma_phi: float) -> float:
         return 0.0
     state_g = "g" * net.n
     state_e = _flip(state_g, net.index(target))
-    freqs = [ch.f_p for ch in net.channels] + [ch.f_r_g for ch in net.channels]
-    kmax = max(ch.kappa_p for ch in net.channels)
-    lo = min(freqs) - 20.0 * kmax
-    hi = max(freqs) + 20.0 * kmax
+    freqs = net.params[:2]  # f_r_g and f_p
+    kmax = net.params[PARAM_ROWS.index("kappa_p")].max()
+    lo, hi = freqs.min() - 20.0 * kmax, freqs.max() + 20.0 * kmax
     n = NOISE_GRID_START
     while True:
         f, h = np.linspace(lo, hi, n, retstep=True)

@@ -9,6 +9,12 @@ identifiable.  The Jacobian is analytic: with Gamma = (1 - Y)/(1 + Y) and
 Y the admittance sum at the common node, d arg(Gamma)/dp =
 Im(-2/((1 - Y)(1 + Y)) dY/dp), and each branch term of Y depends on its own
 channel's parameters only.
+
+The optimizer's x holds the free entries of MuxNetwork.params under a
+boolean (group, channel) mask, then theta0 and tau (_Model).  The model is
+evaluated from that array: the fit builds one MuxNetwork, for its result,
+and computes the shunt term once per spectrum.  A one-entry memo hands the
+last residual's admittance sums and branch terms to a Jacobian at the same x.
 """
 
 from __future__ import annotations
@@ -19,18 +25,17 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ValidationError
-from .mtl import TWO_PI
-from .mux import (MuxNetwork, _branch_partials, _total_admittance,
-                  gamma_incident)
+from .mtl import TWO_PI, _freq_array
+from .mux import PARAM_ROWS as _GROUPS  # x takes the groups in this order
+from .mux import MuxNetwork, _branch_partials, _reflection, gamma_incident
 
 # internal optimizer scaling: frequencies in GHz, rates in MHz, tau in ns
-_GROUPS = ("f_r_g", "f_p", "j", "kappa_p", "chi", "gamma_r", "gamma_p")
 _SCALE = {"f_r_g": 1e9, "f_p": 1e9, "j": 1e6, "kappa_p": 1e6, "chi": 1e6,
           "gamma_r": 1e6, "gamma_p": 1e6, "theta0": 1.0, "tau": 1e-9}
 _DEFAULT_FIXED = ("gamma_r", "gamma_p")
 # ReadoutChannel bounds these groups at zero: the optimizer steps through a
 # signed x and the network takes |x|, so a trial step across zero is valid
-_MAGNITUDE = tuple(f"{g}[" for g in ("j", "kappa_p", "gamma_r", "gamma_p"))
+_MAGNITUDE = [_GROUPS.index(g) for g in ("j", "kappa_p", "gamma_r", "gamma_p")]
 
 
 @dataclass(frozen=True)
@@ -137,21 +142,20 @@ def synth_spectrum(net: MuxNetwork, state: str, theta0: float, tau: float,
     return PhaseSpectrum(freq_hz=grid, phase_rad=wrap_phase(phase))
 
 
-def _prefit_delay(net0: MuxNetwork, spectra, theta0: float, tau: float):
+def _prefit_delay(models, spectra, theta0: float, tau: float):
     """Linear pre-estimate of the phase offset and electrical delay.
 
-    The residual against the initial model is unwrapped and fit to
-    dtheta - 2 pi f dtau; resonance-region excursions average out over the
-    grid.  Deterministic, and accurate enough to land inside the local
-    basin of the circular cost, whose delay direction repeats every ~1/f.
+    The residual against the initial model phases `models` is unwrapped and
+    fit to dtheta - 2 pi f dtau; resonance-region excursions average out
+    over the grid.  Deterministic, and accurate enough to land inside the
+    local basin of the circular cost, whose delay direction repeats every
+    ~1/f.
     """
     d_theta = 0.0
     d_taus = []
-    for i, (spec, joint) in enumerate(spectra):
-        model = model_phase(net0, joint, theta0, tau, spec.freq_hz)
-        resid = np.unwrap(wrap_phase(model - spec.phase_rad))
-        a = np.column_stack([np.ones(spec.freq_hz.size),
-                             -TWO_PI * spec.freq_hz])
+    for i, (model, (f, phase, _, _)) in enumerate(zip(models, spectra)):
+        resid = np.unwrap(wrap_phase(model - phase))
+        a = np.column_stack([np.ones(f.size), -TWO_PI * f])
         coef, *_ = np.linalg.lstsq(a, resid, rcond=None)
         if i == 0:
             d_theta = coef[0]
@@ -159,61 +163,84 @@ def _prefit_delay(net0: MuxNetwork, spectra, theta0: float, tau: float):
     return theta0 - d_theta, tau - float(np.mean(d_taus))
 
 
-def _split(name: str) -> tuple[str, int]:
-    """'kappa_p[2]' -> ('kappa_p', 2)."""
-    grp, i = name.rsplit("[", 1)
-    return grp, int(i[:-1])
+class _Model:
+    """The fit's model of (PhaseSpectrum, joint state) pairs at an x.
+
+    x holds net0.params[free], free being a boolean (group, channel) mask,
+    then the free scalars ("theta0", "tau"); each divided by its _SCALE.
+    """
+
+    def __init__(self, net0: MuxNetwork, pairs, free, scalars):
+        self.net0, self.free, self.scalars = net0, free, tuple(scalars)
+        self.names = [ch.name for ch in net0.channels]
+        self.grp, self.chan = np.nonzero(free)
+        self.scale = np.array([_SCALE[_GROUPS[g]] for g in self.grp])
+        self.is_mag = np.append(np.isin(self.grp, _MAGNITUDE),
+                                np.zeros(len(self.scalars), dtype=bool))
+        # (frequencies, measured phase, joint state, z0 Y_shunt(f) + 0j)
+        self.spectra = []
+        for spec, joint in pairs:
+            f, _ = _freq_array(spec.freq_hz)
+            self.spectra.append((f, spec.phase_rad, joint, net0.z0_line
+                                 * net0.shunt.admittance(f) + 0j))
+
+    def pack(self, theta0: float, tau: float) -> np.ndarray:
+        vals = {"theta0": theta0, "tau": tau / _SCALE["tau"]}
+        return np.append(self.net0.params[self.free] / self.scale,
+                         [vals[name] for name in self.scalars])
+
+    def unpack(self, x, theta0: float, tau: float):
+        """(params in the MuxNetwork.params layout, theta0, tau) at x."""
+        k = self.grp.size
+        p = self.net0.params.copy()
+        v = x[:k]
+        p[self.free] = np.where(self.is_mag[:k], np.abs(v), v) * self.scale
+        if not np.all(p[_GROUPS.index("kappa_p")] > 0):
+            raise ValidationError("kappa_p must be > 0")
+        vals = dict(zip(self.scalars, x[k:]))
+        return (p, vals.get("theta0", theta0),
+                vals["tau"] * _SCALE["tau"] if "tau" in vals else tau)
+
+    def evaluate(self, p, theta0: float, tau: float):
+        """(model phase in rad, not wrapped; admittance sum Y; branch terms)
+        of each spectrum at params p."""
+        out = []
+        for f, _, joint, y_shunt in self.spectra:
+            terms = []
+            gam, y = _reflection(p, self.names, joint, f, y_shunt, terms)
+            out.append((np.angle(gam) + theta0 - TWO_PI * f * tau, y, terms))
+        return out
+
+    def network(self, p) -> MuxNetwork:
+        """net0 with the free entries of params p."""
+        return replace(self.net0, channels=tuple(
+            replace(ch, **{g: p[k, i] for k, g in enumerate(_GROUPS)
+                           if self.free[k, i]})
+            for i, ch in enumerate(self.net0.channels)))
 
 
-def _pack(net: MuxNetwork, theta0: float, tau: float, free: list[str]):
-    x = []
-    for name in free:
-        if name == "theta0":
-            x.append(theta0)
-        elif name == "tau":
-            x.append(tau / _SCALE["tau"])
-        else:
-            grp, i = _split(name)
-            x.append(getattr(net.channels[i], grp) / _SCALE[grp])
-    return np.array(x, dtype=float)
+def _phase_jacobian(model: _Model, p, ev) -> np.ndarray:
+    """d(model phase)/dx of the scaled free parameters, one row per point.
 
-
-def _unpack(x, net: MuxNetwork, theta0: float, tau: float, free: list[str]):
-    vals = {name: abs(xi) if name.startswith(_MAGNITUDE) else xi
-            for name, xi in zip(free, x)}
-    channels = []
-    for i, ch in enumerate(net.channels):
-        kw = {}
-        for grp in _GROUPS:
-            key = f"{grp}[{i}]"
-            if key in vals:
-                kw[grp] = vals[key] * _SCALE[grp]
-        channels.append(replace(ch, **kw) if kw else ch)
-    th = vals.get("theta0", theta0)
-    ta = vals["tau"] * _SCALE["tau"] if "tau" in vals else tau
-    return replace(net, channels=tuple(channels)), th, ta
-
-
-def _phase_jacobian(net: MuxNetwork, spectra, free: list[str]) -> np.ndarray:
-    """d(model phase)/dx of the scaled free parameters, one row per point."""
-    blocks = []
-    for spec, joint in spectra:
-        f = spec.freq_hz
-        y = _total_admittance(net, joint, f)
+    ev is model.evaluate at p.  Per spectrum, one product of dphi/dY with
+    the stacked branch partials of the free entries.
+    """
+    k = model.grp.size
+    jac = np.empty((sum(f.size for f, *_ in model.spectra),
+                    k + len(model.scalars)))
+    r0 = 0
+    for (f, _, joint, _), (_, y, terms) in zip(model.spectra, ev):
+        r1 = r0 + f.size
         dphi_dy = -2.0 / ((1.0 - y) * (1.0 + y))
-        partials = [_branch_partials(ch, s, f)
-                    for ch, s in zip(net.channels, joint)]
-        cols = np.empty((f.size, len(free)))
-        for k, name in enumerate(free):
-            if name == "theta0":
-                cols[:, k] = 1.0
-            elif name == "tau":
-                cols[:, k] = -TWO_PI * _SCALE["tau"] * f
-            else:
-                grp, i = _split(name)
-                cols[:, k] = (dphi_dy * partials[i][grp]).imag * _SCALE[grp]
-        blocks.append(cols)
-    return np.concatenate(blocks)
+        partials = np.array([_branch_partials(col, s, t) for col, s, t
+                             in zip(p.T.tolist(), joint, terms)])
+        jac[r0:r1, :k] = ((dphi_dy * partials[model.chan, model.grp]).imag
+                          * model.scale[:, None]).T
+        for c, name in enumerate(model.scalars, start=k):
+            jac[r0:r1, c] = 1.0 if name == "theta0" else \
+                -TWO_PI * _SCALE["tau"] * f
+        r0 = r1
+    return jac
 
 
 def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
@@ -221,73 +248,76 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
     """Simultaneous least-squares fit of the g- and e-state phase spectra.
 
     One pass of Moré's Levenberg-Marquardt (_lm) on circular residuals with
-    the analytic Jacobian (_phase_jacobian).  J, kappa_p and the internal
-    linewidths are fit signed and reported as magnitudes (_MAGNITUDE).  With
-    only one spectrum chi is unidentifiable and is silently frozen
-    (chi_reported = False).  Standard errors come from the residual Jacobian
-    at the solution.  Deterministic for identical inputs.
+    the analytic Jacobian (_phase_jacobian), x laid out by _Model.  J,
+    kappa_p and the internal linewidths are fit signed and reported as
+    magnitudes (_MAGNITUDE).  Each residual evaluation keeps its admittance
+    sums and branch terms for a Jacobian at the same x, which _lm asks for
+    right after accepting a step.  With only one spectrum chi is
+    unidentifiable and is silently frozen (chi_reported = False).  Standard
+    errors come from the residual Jacobian at the solution.  Deterministic
+    for identical inputs.
     """
     net0 = cfg.initial
     fixed = set(cfg.fix)
     chi_reported = spec_e is not None
     if spec_e is None:
         fixed.add("chi")
-
-    free: list[str] = []
-    for grp in _GROUPS:
-        if grp in fixed:
-            continue
-        free.extend(f"{grp}[{i}]" for i in range(net0.n))
-    for scalar in ("theta0", "tau"):
-        if scalar not in fixed:
-            free.append(scalar)
-    if not free:
+    free = np.repeat([[g not in fixed] for g in _GROUPS], net0.n, axis=1)
+    scalars = [s for s in ("theta0", "tau") if s not in fixed]
+    n_free = np.count_nonzero(free) + len(scalars)
+    if not n_free:
         raise ValidationError("no free parameters")
 
-    spectra = [(spec_g, "g" * net0.n)]
+    pairs = [(spec_g, "g" * net0.n)]
     if spec_e is not None:
         if spec_e.freq_hz[0] > spec_g.freq_hz[-1] or \
                 spec_g.freq_hz[0] > spec_e.freq_hz[-1]:
             raise ValidationError("the two spectra must overlap in frequency")
-        spectra.append((spec_e, "e" * net0.n))
-    if sum(spec.freq_hz.size for spec, _ in spectra) < len(free):
-        raise ValidationError(f"{len(free)} free parameters need at least "
+        pairs.append((spec_e, "e" * net0.n))
+    if sum(spec.freq_hz.size for spec, _ in pairs) < n_free:
+        raise ValidationError(f"{n_free} free parameters need at least "
                               "as many spectrum points")
+    model = _Model(net0, pairs, free, scalars)
 
     n_eval = n_jac = 0
-    is_mag = np.array([name.startswith(_MAGNITUDE) for name in free])
+    memo = {}  # the last evaluation: x.tobytes() -> (p, model.evaluate)
+
+    def evaluate(x):
+        p, th, ta = model.unpack(x, cfg.theta0, cfg.tau)
+        memo.clear()
+        memo[x.tobytes()] = out = (p, model.evaluate(p, th, ta))
+        return out
 
     def residuals(x):
         nonlocal n_eval
         n_eval += 1
-        net, th, ta = _unpack(x, net0, cfg.theta0, cfg.tau, free)
-        parts = []
-        for spec, joint in spectra:
-            model = model_phase(net, joint, th, ta, spec.freq_hz)
-            parts.append(wrap_phase(model - spec.phase_rad))
-        return np.concatenate(parts)
+        return np.concatenate([wrap_phase(phi - phase) for (phi, _, _), (
+            _, phase, _, _) in zip(evaluate(x)[1], model.spectra)])
 
     def jacobian(x):
         nonlocal n_jac
         n_jac += 1
-        net, _, _ = _unpack(x, net0, cfg.theta0, cfg.tau, free)
-        # _unpack takes |x|; d|x|/dx is +1 at 0, so LM can leave the bound
-        d_abs = np.where(is_mag & (x < 0), -1.0, 1.0)
-        return _phase_jacobian(net, spectra, free) * d_abs
+        p, ev = memo.get(x.tobytes()) or evaluate(x)
+        # unpack takes |x|; d|x|/dx is +1 at 0, so LM can leave the bound
+        return _phase_jacobian(model, p, ev) * np.where(
+            model.is_mag & (x < 0), -1.0, 1.0)
 
     theta0_init, tau_init = cfg.theta0, cfg.tau
     if "theta0" not in fixed and "tau" not in fixed:
         # the delay direction of the circular cost is quasi-periodic in
         # 1/f, so pull theta0/tau into basin on the residual slope first
-        theta0_init, tau_init = _prefit_delay(net0, spectra, cfg.theta0,
-                                              cfg.tau)
-    x0 = _pack(net0, theta0_init, tau_init, free)
-    res = _lm(residuals, jacobian, x0, cfg.tol, cfg.max_eval)
-    net_f, th_f, ta_f = _unpack(res.x, net0, cfg.theta0, cfg.tau, free)
-    stderr = _standard_errors(res, free, net0.n)
+        phases0 = [phi for phi, _, _ in model.evaluate(net0.params,
+                                                       cfg.theta0, cfg.tau)]
+        theta0_init, tau_init = _prefit_delay(phases0, model.spectra,
+                                              cfg.theta0, cfg.tau)
+    res = _lm(residuals, jacobian, model.pack(theta0_init, tau_init), cfg.tol,
+              cfg.max_eval)
+    p_f, th_f, ta_f = model.unpack(res.x, cfg.theta0, cfg.tau)
+    stderr = _standard_errors(res, model)
     if not chi_reported:
         stderr["chi"] = None
-    return FitResult(network=net_f, theta0=th_f, tau=ta_f, stderr=stderr,
+    return FitResult(network=model.network(p_f), theta0=th_f, tau=ta_f,
+                     stderr=stderr,
                      residual_norm=float(np.sqrt(2.0 * res.cost)),
                      converged=res.success, chi_reported=chi_reported,
                      n_eval=n_eval, n_jac=n_jac)
@@ -389,7 +419,9 @@ def _lmpar(s2, sc, delta, par):
         par = max(parl, par + newton(par))
 
 
-def _standard_errors(res, free: list[str], n_ch: int) -> dict:
+def _standard_errors(res, model: _Model) -> dict:
+    """1-sigma errors: an array over channels per free group (NaN where a
+    channel is fixed), a float per free scalar."""
     m, nfree = res.jac.shape
     dof = max(m - nfree, 1)
     s2 = 2.0 * res.cost / dof
@@ -398,11 +430,11 @@ def _standard_errors(res, free: list[str], n_ch: int) -> dict:
         sig = np.sqrt(np.maximum(np.diag(cov), 0.0))
     except np.linalg.LinAlgError:
         sig = np.full(nfree, np.nan)
-    out: dict = {}
-    for name, s in zip(free, sig):
-        if name in ("theta0", "tau"):
-            out[name] = float(s * _SCALE[name])
-        else:
-            grp, i = _split(name)
-            out.setdefault(grp, np.full(n_ch, np.nan))[i] = s * _SCALE[grp]
+    k = model.grp.size
+    table = np.full(model.free.shape, np.nan)
+    table[model.free] = sig[:k] * model.scale
+    out: dict = {g: row.copy() for g, row, on
+                 in zip(_GROUPS, table, model.free.any(axis=1)) if on}
+    out.update((name, float(s * _SCALE[name]))
+               for name, s in zip(model.scalars, sig[k:]))
     return out

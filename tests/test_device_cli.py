@@ -667,6 +667,23 @@ class TestNumericalFailuresExit3:
         assert "Traceback" not in err and caught == []
         assert not out.exists()
 
+    def test_separation_drive_whose_dephasing_overflows(self, tmp_path,
+                                                         capsys):
+        # S_ss of a 1e300 drive is finite; Gamma_m = S_ss^2/2 is not
+        pulse = json.dumps({"carrier_mhz": 10357.0, "rectangular": {
+            "amplitude": 1e300, "duration_ns": 40.0}})
+        out = tmp_path / "out"
+        argv = ["separation", "--device", str(paper_device_path()), "--pair",
+                "Q2", "--pulse", pulse, "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: Gamma_m = S_ss^2/2 overflows")
+        assert "S_ss = " in err and "plateau amplitude 1e+300" in err
+        assert "Traceback" not in err and caught == []
+        assert not out.exists()
+
     SWEEP = {"z21": ["--fmin", "8e9", "--fmax", "9e9", "--points", "11"],
              "design": [], "purcell": FLAGS["purcell"][2:]}
 

@@ -76,6 +76,109 @@ class TestGammaFilter:
         assert abs(gamma_filter(ch, "g", 10.42e9)) < 1.0
 
 
+def gamma_incident_per_channel(net, state, f_d):
+    """gamma_incident as first written: one ReadoutChannel at a time.
+
+    The reference for the array kernel, which reads MuxNetwork.params: the
+    same arithmetic on the dataclass fields, with the same pole checks.
+    """
+    f = np.atleast_1d(np.asarray(f_d, dtype=float))
+    total = net.z0_line * net.shunt.admittance(f) + 0j
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ch, s in zip(net.channels, state):
+            d_r = TWO_PI * (ch.f_r(s) - f)
+            d_p = TWO_PI * (ch.f_p - f)
+            kap = TWO_PI * ch.kappa_p
+            a = TWO_PI * ch.gamma_p - 2j * d_p
+            w = TWO_PI * ch.gamma_r - 2j * d_r
+            j4 = 4.0 * (TWO_PI * ch.j) ** 2
+            den = a * w + j4
+            pole = den == 0.0
+            u = kap * w / np.where(pole, 1.0, den)
+            if j4 == 0.0:
+                # bare filter: the readout factor cancels
+                pole = a == 0.0
+                u = kap / np.where(pole, 1.0, a)
+            if np.any(pole):
+                raise CompositionPoleError(
+                    f"channel {ch.name!r} reflects with Gamma_p = -1 at the "
+                    "requested frequency")
+            total = total + np.where(pole, np.inf + 0j, u)
+        gam = (1.0 - total) / (1.0 + total)
+    return complex(gam[0]) if np.ndim(f_d) == 0 else gam
+
+
+def random_net(rng, n):
+    """n channels over 10.0-10.8 GHz, about half of them with internal loss."""
+    chans = []
+    for i, f_r in enumerate(np.sort(rng.uniform(10.0e9, 10.8e9, n))):
+        lossy = rng.random() < 0.5
+        chans.append(ReadoutChannel(
+            f"c{i}", f_r, rng.uniform(-10e6, -2e6),
+            f_r + rng.uniform(20e6, 80e6), rng.uniform(10e6, 50e6),
+            rng.uniform(20e6, 100e6),
+            gamma_r=rng.uniform(0.1e6, 2e6) if lossy else 0.0,
+            gamma_p=rng.uniform(0.1e6, 2e6) if lossy else 0.0))
+    return MuxNetwork(channels=tuple(chans), shunt=PAPER_SHUNT)
+
+
+def assert_same_bits(got, ref):
+    assert type(got) is type(ref)
+    assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
+class TestArrayKernelAgainstPerChannel:
+    """gamma_incident from MuxNetwork.params, bit for bit against the loop."""
+
+    @pytest.mark.parametrize("n", range(1, notchlab.mux.MAX_CHANNELS + 1))
+    def test_random_nets_every_state_mix(self, n):
+        rng = np.random.default_rng(100 + n)
+        net = random_net(rng, n)
+        grid = np.linspace(9.9e9, 10.9e9, 201)
+        for bits in itertools.product("ge", repeat=n):
+            state = "".join(bits)
+            assert_same_bits(gamma_incident(net, state, grid),
+                             gamma_incident_per_channel(net, state, grid))
+        for f in rng.uniform(9.9e9, 10.9e9, 5):
+            assert_same_bits(gamma_incident(net, "g" * n, f),
+                             gamma_incident_per_channel(net, "g" * n, f))
+
+    @pytest.mark.parametrize("state", ["ggg", "egg", "geg", "eee"])
+    def test_bare_channel_with_a_point_on_the_readout_line(self, state):
+        net = random_net(np.random.default_rng(7), 3)
+        bare = dataclasses.replace(net.channels[0], j=0.0, gamma_r=0.0)
+        net = dataclasses.replace(net, channels=(bare,) + net.channels[1:])
+        f_r = bare.f_r(state[0])
+        grid = np.sort(np.append(np.linspace(9.9e9, 10.9e9, 300), f_r))
+        assert_same_bits(gamma_incident(net, state, grid),
+                         gamma_incident_per_channel(net, state, grid))
+        assert_same_bits(gamma_incident(net, state, f_r),
+                         gamma_incident_per_channel(net, state, f_r))
+
+    def test_pole_names_the_first_channel_in_order(self):
+        # two bare lossless filters, each on a grid point: the first in
+        # channel order is named, whichever pole comes first on the grid
+        net = random_net(np.random.default_rng(9), 4)
+        chans = list(net.channels)
+        for i in (1, 3):
+            chans[i] = dataclasses.replace(chans[i], j=0.0, gamma_r=0.0,
+                                           gamma_p=0.0)
+        net = dataclasses.replace(net, channels=tuple(chans))
+        grid = np.sort([chans[3].f_p, 10.95e9, chans[1].f_p])
+        for fn in (gamma_incident, gamma_incident_per_channel):
+            with pytest.raises(CompositionPoleError, match="channel 'c1'"):
+                fn(net, "gegg", grid)
+
+    def test_params_rows_and_read_only(self, mux_net):
+        p = mux_net.params
+        assert p is mux_net.params
+        assert p.shape == (len(notchlab.mux.PARAM_ROWS), mux_net.n)
+        for row, name in zip(p, notchlab.mux.PARAM_ROWS):
+            assert row.tolist() == [getattr(c, name) for c in mux_net.channels]
+        with pytest.raises(ValueError):
+            p[0, 0] = 0.0
+
+
 class TestGammaIncident:
     def test_reduces_to_shunt_when_decoupled(self, mux_net):
         weak = MuxNetwork(
@@ -210,8 +313,8 @@ class TestPropagate:
 
     def test_edge_sampling_density(self):
         pulse = DrivePulse.two_step(10.36e9, 1e6, 30e-9)
-        edges = [iv for iv in pulse.sample_intervals()
-                 if iv[1] - iv[0] <= 0.1e-9 + 1e-15]
+        t0, t1, _ = pulse.sample_intervals()
+        edges = np.flatnonzero(t1 - t0 <= 0.1e-9 + 1e-15)
         assert len(edges) >= 120  # two 6 ns edges at <= 0.1 ns per sample
 
     def test_passivity_guard(self):
@@ -640,8 +743,8 @@ def propagate_per_step(net, state, pulse, dt_out):
     if out_times[-1] < t_end - 1e-15:
         out_times = np.append(out_times, t_end)
     bounds = set(float(x) for x in out_times)
-    intervals = list(pulse.sample_intervals())
-    for t0, t1, _ in intervals:
+    starts, ends, amps = pulse.sample_intervals()
+    for t0, t1 in zip(starts, ends):
         bounds.add(float(t0))
         bounds.add(float(t1))
     cuts = np.array(sorted(bounds))
@@ -649,8 +752,6 @@ def propagate_per_step(net, state, pulse, dt_out):
     keep = np.ones(cuts.size, dtype=bool)
     keep[1:] = np.diff(cuts) > 1e-15
     cuts = cuts[keep]
-    starts = np.array([iv[0] for iv in intervals])
-    amps = [iv[2] for iv in intervals]
 
     def amp_at(tm):
         i = int(np.searchsorted(starts, tm, side="right")) - 1
@@ -996,7 +1097,7 @@ class TestEnvelopeSampling:
     @pytest.mark.parametrize("name", sorted(SAMPLED_PULSES))
     def test_amplitudes_are_envelope_at_midpoints(self, name):
         pulse = SAMPLED_PULSES[name]
-        t0, t1, amps = map(np.array, zip(*pulse.sample_intervals()))
+        t0, t1, amps = pulse.sample_intervals()
         assert t0[0] == 0.0 and np.array_equal(t0[1:], t1[:-1])
         assert t1[-1] == pytest.approx(pulse.duration, rel=1e-12)
         assert np.array_equal(amps, pulse.envelope(0.5 * (t0 + t1)))
@@ -1004,10 +1105,9 @@ class TestEnvelopeSampling:
     @pytest.mark.parametrize("name", sorted(SAMPLED_PULSES))
     def test_matches_math_cos_sampler(self, name):
         pulse = SAMPLED_PULSES[name]
-        got = pulse.sample_intervals()
+        t0, t1, amps = pulse.sample_intervals()
         ref = list(sample_intervals_cos(pulse))
-        assert [iv[:2] for iv in got] == [iv[:2] for iv in ref]
-        amps = np.array([iv[2] for iv in got])
+        assert list(zip(t0.tolist(), t1.tolist())) == [iv[:2] for iv in ref]
         ref_amps = np.array([iv[2] for iv in ref])
         peak = np.max(np.abs(ref_amps))
         assert np.max(np.abs(amps - ref_amps)) <= 1e-14 * peak

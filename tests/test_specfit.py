@@ -191,13 +191,13 @@ def test_n_eval_counts_every_model_evaluation(monkeypatch, max_eval):
     guess = dataclasses.replace(net, channels=(
         dataclasses.replace(ch, f_r_g=ch.f_r_g + 1e6, j=ch.j + 0.5e6),))
     calls = []
-    inner = notchlab.specfit.model_phase
+    inner = notchlab.specfit._reflection
 
     def counted(*args):
-        calls.append(args[1])
+        calls.append(args[2])
         return inner(*args)
 
-    monkeypatch.setattr(notchlab.specfit, "model_phase", counted)
+    monkeypatch.setattr(notchlab.specfit, "_reflection", counted)
     res = fit_reflection(spec_g, spec_e, FitConfig(
         initial=guess, theta0=0.6, tau=0.25e-9, max_eval=max_eval))
     # two spectra per residual evaluation, plus one each in the delay prefit
@@ -205,6 +205,54 @@ def test_n_eval_counts_every_model_evaluation(monkeypatch, max_eval):
     if max_eval == 3:
         assert not res.converged
         assert res.n_eval <= max_eval
+
+
+def test_admittance_sums_and_shunt_evaluated_once(monkeypatch):
+    # one admittance sum per spectrum per residual evaluation plus the
+    # delay prefit's; the Jacobian at an x the residual has evaluated reuses
+    # its sums; the shunt admittance once per spectrum per fit
+    ch = ReadoutChannel(name="Q", f_r_g=10386e6, chi=-9.9e6, f_p=10407e6,
+                        j=39.4e6, kappa_p=81.4e6)
+    net = MuxNetwork(channels=(ch,), shunt=PAPER_SHUNT)
+    grid = np.linspace(10.2e9, 10.6e9, 201)
+    spec_g = synth_spectrum(net, "g", THETA0, TAU, grid, 0.01, seed=1)
+    spec_e = synth_spectrum(net, "e", THETA0, TAU, grid, 0.01, seed=2)
+    guess = dataclasses.replace(net, channels=(
+        dataclasses.replace(ch, f_r_g=ch.f_r_g + 1e6, j=ch.j + 0.5e6),))
+    sums, shunts, seen = [], [], {}
+    inner_sum = notchlab.specfit._reflection
+    inner_shunt = ShuntLC.admittance
+    inner_lm = notchlab.specfit._lm
+
+    def counted_sum(*args):
+        sums.append(args[2])
+        return inner_sum(*args)
+
+    def counted_shunt(self, f):
+        shunts.append(np.size(f))
+        return inner_shunt(self, f)
+
+    def capture(fun, jac, x0, tol, max_eval):
+        res = inner_lm(fun, jac, x0, tol, max_eval)
+        seen.update(fun=fun, jac=jac, x=res.x)
+        return res
+
+    monkeypatch.setattr(notchlab.specfit, "_reflection", counted_sum)
+    monkeypatch.setattr(ShuntLC, "admittance", counted_shunt)
+    monkeypatch.setattr(notchlab.specfit, "_lm", capture)
+    res = fit_reflection(spec_g, spec_e, FitConfig(initial=guess, theta0=0.6,
+                                                   tau=0.25e-9))
+    assert res.converged
+    assert len(sums) == 2 * res.n_eval + 2
+    assert shunts == [grid.size, grid.size]
+    x = seen["x"]
+    seen["fun"](x)
+    made = len(sums)
+    seen["jac"](x)
+    assert len(sums) == made
+    seen["jac"](x + 1e-3)
+    assert len(sums) == made + 2
+    assert shunts == [grid.size, grid.size]
 
 
 def with_internal_loss(net, rng):
@@ -220,21 +268,39 @@ def all_names(net, groups=notchlab.specfit._GROUPS):
     return names + ["theta0", "tau"]
 
 
+def model_of(net, spectra, free):
+    """specfit's fit model of spectra with x laid out for the names free."""
+    sf = notchlab.specfit
+    mask = np.array([[f"{grp}[{i}]" in free for i in range(net.n)]
+                     for grp in sf._GROUPS])
+    return sf._Model(net, spectra, mask,
+                     [s for s in ("theta0", "tau") if s in free])
+
+
 def model_phases(x, net, spectra, free):
     """Unwrapped model phase of every spectrum at scaled parameters x."""
-    net_x, th, ta = notchlab.specfit._unpack(x, net, 0.0, 0.0, free)
+    model = model_of(net, spectra, free)
+    p, th, ta = model.unpack(x, 0.0, 0.0)
+    net_x = model.network(p)
     return np.concatenate([model_phase(net_x, joint, th, ta, spec.freq_hz)
                            for spec, joint in spectra])
+
+
+def analytic_jacobian(net, spectra, free):
+    """specfit._phase_jacobian at net for the parameter names free."""
+    model = model_of(net, spectra, free)
+    return notchlab.specfit._phase_jacobian(
+        model, net.params, model.evaluate(net.params, 0.0, 0.0))
 
 
 def central_difference_jacobian(net, spectra, free, theta0, tau):
     """Steps of 1 kHz on the channel parameters, 1e-3 on theta0 and tau/ns."""
     sf = notchlab.specfit
-    x = sf._pack(net, theta0, tau, free)
+    x = model_of(net, spectra, free).pack(theta0, tau)
     cols = []
     for k, name in enumerate(free):
         h = 1e-3 if name in ("theta0", "tau") else \
-            1e3 / sf._SCALE[sf._split(name)[0]]
+            1e3 / sf._SCALE[name.split("[")[0]]
         up, down = x.copy(), x.copy()
         up[k] += h
         down[k] -= h
@@ -244,7 +310,7 @@ def central_difference_jacobian(net, spectra, free, theta0, tau):
 
 
 def assert_columns_match(net, spectra, free, theta0, tau, rtol=1e-5):
-    jac = notchlab.specfit._phase_jacobian(net, spectra, free)
+    jac = analytic_jacobian(net, spectra, free)
     ref = central_difference_jacobian(net, spectra, free, theta0, tau)
     assert np.all(np.isfinite(jac))
     for k, name in enumerate(free):
@@ -286,7 +352,11 @@ class TestAnalyticJacobian:
         for state, f_r in (("gggg", bare.f_r_g),
                            ("eggg", bare.f_r_g + 2 * bare.chi)):
             grid = np.sort(np.append(np.linspace(10.0e9, 10.9e9, 300), f_r))
-            parts = notchlab.mux._branch_partials(bare, state[0], grid)
+            col = [getattr(bare, row) for row in notchlab.mux.PARAM_ROWS]
+            _, _, terms = notchlab.mux._branch(col, state[0], grid, bare.name)
+            parts = dict(zip(notchlab.mux.PARAM_ROWS,
+                             notchlab.mux._branch_partials(col, state[0],
+                                                           terms)))
             for grp in ("f_r_g", "chi", "j", "gamma_r"):
                 assert np.all(parts[grp] == 0), grp
             spectra = [(PhaseSpectrum(grid, np.zeros_like(grid)), state)]
@@ -307,20 +377,25 @@ def fd_fit_reflection(spec_g, spec_e, cfg):
     net0 = cfg.initial
     free = all_names(net0, tuple(g for g in sf._GROUPS if g not in cfg.fix))
     spectra = [(spec_g, "g" * net0.n), (spec_e, "e" * net0.n)]
+    model = model_of(net0, spectra, free)
 
     def residuals(x):
-        net, th, ta = sf._unpack(x, net0, cfg.theta0, cfg.tau, free)
+        p, th, ta = model.unpack(x, cfg.theta0, cfg.tau)
+        net = model.network(p)
         return np.concatenate([
             wrap_phase(model_phase(net, joint, th, ta, spec.freq_hz)
                        - spec.phase_rad) for spec, joint in spectra])
 
-    theta0, tau = sf._prefit_delay(net0, spectra, cfg.theta0, cfg.tau)
-    res = least_squares(residuals, sf._pack(net0, theta0, tau, free),
+    models = [model_phase(net0, joint, cfg.theta0, cfg.tau, spec.freq_hz)
+              for spec, joint in spectra]
+    theta0, tau = sf._prefit_delay(models, model.spectra, cfg.theta0,
+                                   cfg.tau)
+    res = least_squares(residuals, model.pack(theta0, tau),
                         method="lm", xtol=cfg.tol, ftol=cfg.tol,
                         gtol=cfg.tol, max_nfev=cfg.max_eval)
     assert res.success
-    net, th, ta = sf._unpack(res.x, net0, cfg.theta0, cfg.tau, free)
-    return net, sf._standard_errors(res, free, net0.n), \
+    p, th, ta = model.unpack(res.x, cfg.theta0, cfg.tau)
+    return model.network(p), sf._standard_errors(res, model), \
         float(np.sqrt(2.0 * res.cost))
 
 
@@ -457,7 +532,7 @@ def test_jacobian_past_zero_j_matches_central_differences(mux_net,
     assert np.array_equal(jac[:, is_j], -seen["jac"](seen["x0"])[:, is_j])
     for k, name in enumerate(free):
         h = 1e-3 if name in ("theta0", "tau") else \
-            1e3 / sf._SCALE[sf._split(name)[0]]
+            1e3 / sf._SCALE[name.split("[")[0]]
         up, down = x.copy(), x.copy()
         up[k] += h
         down[k] -= h
@@ -547,7 +622,7 @@ def test_lossless_network_phase_is_stationary_in_internal_loss(mux_net):
     free = all_names(mux_net)
     spectra = [(PhaseSpectrum(GRID, np.zeros_like(GRID)), s)
                for s in ("gggg", "eeee")]
-    jac = notchlab.specfit._phase_jacobian(mux_net, spectra, free)
+    jac = analytic_jacobian(mux_net, spectra, free)
     for k, name in enumerate(free):
         assert np.all(jac[:, k] == 0) == name.startswith("gamma_"), name
 
