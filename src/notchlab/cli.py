@@ -94,6 +94,14 @@ def _cmd_reflect(args) -> int:
     return 0
 
 
+def _pulse_number(obj: dict, key: str, scale: float | None = None):
+    """obj[key] times scale, else complex(obj[key]); JSON true is no 1."""
+    if isinstance(obj[key], bool):
+        raise ValidationError(
+            f"pulse key {key!r} must be a number, not {json.dumps(obj[key])}")
+    return complex(obj[key]) if scale is None else obj[key] * scale
+
+
 def _parse_pulse(spec: str) -> mux.DrivePulse:
     if os.path.exists(spec):
         raw = read_json(spec, "pulse file")
@@ -103,26 +111,30 @@ def _parse_pulse(spec: str) -> mux.DrivePulse:
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ValidationError(f"--pulse is neither a file nor JSON: {exc}")
     try:
-        f_d = raw["carrier_mhz"] * _MHZ
+        f_d = _pulse_number(raw, "carrier_mhz", _MHZ)
         if "two_step" in raw:
-            ts = raw["two_step"]
+            # defaults in ns: the goldens pin 6.0 * 1e-9 s edges, not 6e-9 s
+            ts = {"overshoot": 1.375, "flat_top_ns": 14.0, "edge_ns": 6.0,
+                  "tail_ns": 0.0, **raw["two_step"]}
             return mux.DrivePulse.two_step(
-                f_d, ts["plateau_amplitude"], ts["plateau_duration_ns"] * 1e-9,
-                overshoot=ts.get("overshoot", 1.375),
-                flat_top=ts.get("flat_top_ns", 14.0) * 1e-9,
-                edge=ts.get("edge_ns", 6.0) * 1e-9,
-                tail=ts.get("tail_ns", 0.0) * 1e-9)
+                f_d, _pulse_number(ts, "plateau_amplitude"),
+                _pulse_number(ts, "plateau_duration_ns", 1e-9),
+                overshoot=_pulse_number(ts, "overshoot", 1.0),
+                flat_top=_pulse_number(ts, "flat_top_ns", 1e-9),
+                edge=_pulse_number(ts, "edge_ns", 1e-9),
+                tail=_pulse_number(ts, "tail_ns", 1e-9))
         if "rectangular" in raw:
             r = raw["rectangular"]
             return mux.DrivePulse.rectangular(
-                f_d, r["amplitude"], r["duration_ns"] * 1e-9)
+                f_d, _pulse_number(r, "amplitude"),
+                _pulse_number(r, "duration_ns", 1e-9))
         segs = tuple(
-            mux.PulseSegment(s["duration_ns"] * 1e-9,
-                             complex(s["amplitude"]),
+            mux.PulseSegment(_pulse_number(s, "duration_ns", 1e-9),
+                             _pulse_number(s, "amplitude"),
                              s.get("edge", "flat"))
             for s in raw["segments"])
         return mux.DrivePulse(f_d, segs)
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError: complex("x")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # complex("x")
         raise ValidationError(f"malformed pulse description: {exc}")
 
 

@@ -233,8 +233,3 @@ def two_port_z(pair: LumpedPair, f):
         raise PoleError("hybridized", f_bad, f_bad)
     zs = (y22 / det, y11 / det, y_c / det)
     return tuple(_scalar_or_array(z, scalar) for z in zs)
-
-
-def z21_lumped(pair: LumpedPair, f) -> complex:
-    """Transfer impedance of the lumped pair (ohm)."""
-    return two_port_z(pair, f)[2]

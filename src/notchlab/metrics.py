@@ -169,11 +169,13 @@ class ReadoutCounts:
     def __post_init__(self):
         for name in ("no_pulse", "pi_before_second", "pi_before_first"):
             table = getattr(self, name)
-            try:  # a cell that is no integer, or a ragged table
+            try:  # a cell that is no integer or a bool, or a ragged table
                 arr = np.asarray(table, dtype=np.int64)
+                cells = np.array(table, dtype=object).flat
             except (TypeError, ValueError, OverflowError):
-                arr = np.zeros(0, dtype=np.int64)
-            if arr.shape != (2, 2) or np.any(arr < 0) or not np.array_equal(arr, table):
+                arr, cells = np.zeros(0, dtype=np.int64), ()
+            if (arr.shape != (2, 2) or np.any(arr < 0) or not np.array_equal(arr, table)
+                    or any(isinstance(c, (bool, np.bool_)) for c in cells)):
                 raise ValidationError(f"{name} must be a 2x2 table of counts")
             object.__setattr__(self, name, arr)
 
@@ -264,21 +266,6 @@ def error_budget(snr: float, tau_meas: float, tau_buffer: float, t1: float,
         f, f_q = fid.f, fid.f_q
     return ErrorBudget(snr=snr, eps_sep=separation_error(snr), eps_cl=eps_cl,
                        eps_cl_q=eps_cl_q, f=f, f_q=f_q)
-
-
-def matched_filter_weights(t, s) -> np.ndarray:
-    """Integration weights proportional to the separation trace.
-
-    Weighting the demodulated record by S(t) maximizes the SNR of the
-    integrated IQ point for Gaussian noise.  Normalized to unit sum.
-    """
-    s = np.asarray(s, dtype=float)
-    if s.ndim != 1 or s.size != np.asarray(t).size:
-        raise ValidationError("weights need matching time and separation arrays")
-    total = s.sum()
-    if total <= 0:
-        raise ValidationError("separation trace carries no signal")
-    return s / total
 
 
 # ------------------------------------------------------------- shot analysis

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,9 +25,6 @@ TWO_PI = 2.0 * math.pi
 # PoleError instead of returning huge values, so root finders cannot mistake
 # a pole for a zero.
 DEFAULT_POLE_GUARD_HZ = 1e3
-
-# Weak-coupling diagnostics warn above this capacitance ratio.
-WEAK_COUPLING_WARN = 0.1
 
 
 @dataclass(frozen=True)
@@ -291,22 +287,6 @@ def z21_auto(geom: CoupledPairGeometry, f,
     return z21_capacitive(geom, f, pole_guard_hz)
 
 
-def z21_multi(geoms: list[CoupledPairGeometry], f,
-              pole_guard_hz: float = DEFAULT_POLE_GUARD_HZ):
-    """Transfer impedance of resonators tied by several MTL sections.
-
-    Under the weak-coupling and consonant-line assumptions the sections
-    superpose: Z21 of the whole equals the sum of the per-section Z21 values.
-    """
-    if not geoms:
-        raise ValidationError("z21_multi requires at least one section")
-    total = None
-    for g in geoms:
-        z = z21_general(g, f, pole_guard_hz)
-        total = z if total is None else total + z
-    return total
-
-
 def find_zero(evaluator, f_lo: float, f_hi: float, tol: float = 1.0) -> float:
     """Locate a zero of Im evaluator(f) inside [f_lo, f_hi] by bisection.
 
@@ -347,22 +327,3 @@ def find_zero(evaluator, f_lo: float, f_hi: float, tol: float = 1.0) -> float:
     if v_root > min(abs(v_lo), abs(v_hi)):
         raise PoleError("unknown", root, root)
     return root
-
-
-def coupling_diagnostics(geom: CoupledPairGeometry) -> dict:
-    """Weak-coupling indicators for an MTL coupler.
-
-    Returns cm_over_c, lm_over_l and the homogeneous-medium coupling factor
-    k = sqrt(1 - (l_m/l)^2).  Warns when cm_over_c exceeds 0.1, where
-    neglecting the back-action of the induced line excitation starts to bite.
-    """
-    if not geom.is_mtl:
-        raise ValidationError("coupling diagnostics require an MTL coupler")
-    r = geom.coupler.cm_over_c
-    lm_over_l = geom.coupler.zm_over_z0 ** 2 * r
-    k = math.sqrt(max(0.0, 1.0 - lm_over_l ** 2))
-    if r > WEAK_COUPLING_WARN:
-        warnings.warn(
-            f"cm_over_c = {r:.3g} exceeds {WEAK_COUPLING_WARN}; weak-coupling "
-            "formulas degrade", stacklevel=2)
-    return {"cm_over_c": r, "lm_over_l": lm_over_l, "k": k}

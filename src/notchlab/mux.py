@@ -75,13 +75,15 @@ class ReadoutChannel:
     gamma_r: float = 0.0
     gamma_p: float = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self):  # NaN fails every check
+        for name in ("f_r_g", "chi", "f_p"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if not self.kappa_p > 0:
             raise ValidationError("kappa_p must be > 0")
-        if self.j < 0:
-            raise ValidationError("j must be >= 0")
-        if self.gamma_r < 0 or self.gamma_p < 0:
-            raise ValidationError("internal linewidths must be >= 0")
+        for name in ("j", "gamma_r", "gamma_p"):
+            if not getattr(self, name) >= 0:
+                raise ValidationError(f"{name} must be >= 0")
 
     def f_r(self, state: str) -> float:
         """Readout frequency for qubit state 'g' or 'e'."""
@@ -153,6 +155,11 @@ def shunt_reflection(shunt: ShuntLC, z0: float, f) -> complex:
     f, scalar = _freq_array(f)
     y = shunt.admittance(f)
     return _scalar_or_array((1.0 - z0 * y) / (1.0 + z0 * y), scalar)
+
+
+def _root_kappa(net: MuxNetwork) -> np.ndarray:
+    """sqrt(2 pi kappa_p) per channel: each filter's coupling to the line."""
+    return np.sqrt(TWO_PI * net.params[PARAM_ROWS.index("kappa_p")])
 
 
 def _branch(p, state: str, f, name: str):
@@ -297,7 +304,7 @@ def system_matrix(net: MuxNetwork, state: str, f_d: float,
     gs = (shunt_reflection(net.shunt, net.z0_line, f_d)
           if gamma_shunt is None else complex(gamma_shunt))
     a = np.zeros((2 * n, 2 * n), dtype=complex)
-    root_k = np.sqrt(TWO_PI * net.params[PARAM_ROWS.index("kappa_p")])
+    root_k = _root_kappa(net)
     a[:n, :n] = 0.25j * (1.0 + gs) * np.outer(root_k, root_k)
     # one float column per channel: scalar writes beat fancy indexing at N <= 8
     for i, (f_r_g, f_p, j, _, chi, gamma_r, gamma_p) in enumerate(
@@ -450,9 +457,9 @@ class FieldTraces:
             raise ValidationError("field traces must match the grid")
 
 
-def _eig_tolerance(net: MuxNetwork, a: np.ndarray) -> float:
-    """1e-6 of the largest 2 pi kappa_p; NumericalError if a cannot meet it."""
-    tol = 1e-6 * max(TWO_PI * ch.kappa_p for ch in net.channels)
+def _check_passivity(net: MuxNetwork, a: np.ndarray):
+    """(lam, V) of a passive matrix: no Im lambda < -1e-6 max 2 pi kappa_p."""
+    tol = 1e-6 * float(np.max(TWO_PI * net.params[PARAM_ROWS.index("kappa_p")]))
     # eigenvalues are good to about eps * max|A|; past the tolerance (or
     # with inf/nan entries) rounding decides the sign of Im lambda
     scale = float(np.max(np.abs(a)))
@@ -460,12 +467,6 @@ def _eig_tolerance(net: MuxNetwork, a: np.ndarray) -> float:
         raise NumericalError(
             f"system matrix entries reach {scale:.3g} rad/s, too large to "
             "resolve its eigenvalues; a parameter overflows the float range")
-    return tol
-
-
-def _check_passivity(net: MuxNetwork, a: np.ndarray):
-    """Eigenvalues and eigenvectors (lam, V) of a passive system matrix."""
-    tol = _eig_tolerance(net, a)
     lam, vec = np.linalg.eig(a)
     if not np.all(np.isfinite(lam)):
         raise NumericalError("system matrix eigenvalues are not finite")
@@ -576,7 +577,7 @@ def propagate(net: MuxNetwork, state: str | Sequence[str], pulse: DrivePulse,
         fields[:, 1:] = np.take(ys, reached, axis=1) @ vecs.swapaxes(1, 2)
         gs = shunt_reflection(net.shunt, net.z0_line, pulse.f_d)
         s_in = np.asarray(pulse.envelope(out_times), dtype=complex)
-        root_k = np.sqrt(np.array([TWO_PI * ch.kappa_p for ch in net.channels]))
+        root_k = _root_kappa(net)
         s_out = [gs * s_in - 0.5 * (1.0 + gs) * (root_k @ f[:, :n].T)
                  for f in fields]
     if not (np.all(np.isfinite(fields)) and np.all(np.isfinite(s_out))):
@@ -598,19 +599,6 @@ def steady_state(net: MuxNetwork, state: str, f_d: float,
         raise SingularSystemError(f"steady state singular at f_d = {f_d}") from exc
 
 
-def drive_for_photon_number(net: MuxNetwork, channel: str, state: str,
-                            f_d: float, n_target: float) -> float:
-    """Drive amplitude (sqrt(photons/s)) giving n_target photons in a readout mode."""
-    if n_target < 0:
-        raise ValidationError("photon number must be >= 0")
-    idx = net.index(channel)
-    x = steady_state(net, state, f_d, 1.0)
-    r = abs(x[net.n + idx])
-    if r == 0.0:
-        raise SingularSystemError("readout mode does not respond at this drive")
-    return math.sqrt(n_target) / r
-
-
 @dataclass(frozen=True)
 class NormalMode:
     """One hybridized mode: absolute frequency, external linewidth, identity."""
@@ -624,10 +612,8 @@ class NormalMode:
 
 def _eigensolve(net: MuxNetwork, state: str):
     a, _ = system_matrix(net, state, 0.0, gamma_shunt=1.0)
-    _eig_tolerance(net, a)
-    lam, vec = np.linalg.eig(a)
-    vec = vec / np.linalg.norm(vec, axis=0, keepdims=True)
-    return lam, vec
+    lam, vec = _check_passivity(net, a)
+    return lam, vec / np.linalg.norm(vec, axis=0, keepdims=True)
 
 
 def _channel_weights(net: MuxNetwork, vec: np.ndarray) -> np.ndarray:
@@ -760,7 +746,7 @@ def separation(net: MuxNetwork, target: str, pulse: DrivePulse,
     tr_g, tr_e = propagate(net, (state_g, state_e), pulse, dt_out)
     s = np.abs(tr_e.s_out - tr_g.s_out)
     gs = shunt_reflection(net.shunt, net.z0_line, pulse.f_d)
-    root_k = math.sqrt(TWO_PI * net.channels[idx].kappa_p)
+    root_k = _root_kappa(net)[idx]
     s_single = abs(0.5 * (1.0 + gs)) * root_k * np.abs(tr_e.p[idx] - tr_g.p[idx])
     return SeparationResult(t=tr_g.t, s=s, s_target_only=s_single, s_ss=s_ss,
                             gamma_m=gamma_m, traces_g=tr_g, traces_e=tr_e)

@@ -398,15 +398,18 @@ class TestCliCommands:
     def test_segments_pulse_matches_rectangular(self, device_path, tmp_path):
         # one flat segment is the rectangular pulse; a segment amplitude may
         # be a complex string
-        outs = [tmp_path / "rect.csv", tmp_path / "segs.csv"]
+        outs = [tmp_path / "rect.csv", tmp_path / "segs.csv",
+                tmp_path / "rect-text.csv"]
         pulses = [{"rectangular": {"amplitude": 1e6, "duration_ns": 40.0}},
                   {"segments": [{"duration_ns": 40.0, "amplitude": "1e6+0j",
-                                 "edge": "flat"}]}]
+                                 "edge": "flat"}]},
+                  {"rectangular": {"amplitude": "1e6+0j", "duration_ns": 40.0}}]
         for out, shape in zip(outs, pulses):
             pulse = json.dumps({"carrier_mhz": 10357.0, **shape})
             assert run(["simulate", "--device", str(device_path), "--pulse",
                         pulse, "--dt-ns", "1.0", "--out", str(out)]) == 0
         assert outs[0].read_bytes() == outs[1].read_bytes()
+        assert outs[0].read_bytes() == outs[2].read_bytes()
 
     def test_separation_prints_steady_state(self, device_path, tmp_path,
                                             capsys):
@@ -915,6 +918,18 @@ class TestJsonInputs:
         ("simulate", json.dumps({"carrier_mhz": 10224.0, "segments": [
             {"duration_ns": 10, "amplitude": "x"}]}),
          "malformed pulse description"),
+        ("simulate", json.dumps({"carrier_mhz": True, "rectangular": {
+            "amplitude": 1e6, "duration_ns": 10}}),
+         "pulse key 'carrier_mhz' must be a number, not true"),
+        ("simulate", json.dumps({"carrier_mhz": 10224.0, "rectangular": {
+            "amplitude": 1e6, "duration_ns": True}}),
+         "pulse key 'duration_ns' must be a number, not true"),
+        ("simulate", json.dumps({"carrier_mhz": 10224.0, "two_step": {
+            "plateau_amplitude": False, "plateau_duration_ns": 50}}),
+         "pulse key 'plateau_amplitude' must be a number, not false"),
+        ("simulate", json.dumps({"carrier_mhz": 10224.0, "rectangular": {
+            "amplitude": 10 ** 400, "duration_ns": 10}}),
+         "malformed pulse description"),
         ("budget", None, "cannot read counts file"),
         ("budget", "[[1, 2]", "counts file"),
         ("budget", json.dumps({k: v for k, v in COUNTS_OK.items()
@@ -923,8 +938,14 @@ class TestJsonInputs:
         ("budget", json.dumps({**COUNTS_OK, "no_pulse": [[990, "x"],
                                                          [20, 980]]}),
          "no_pulse must be a 2x2 table of counts"),
-    ], ids=["pulse-invalid-json", "pulse-text-amplitude", "counts-missing",
-            "counts-invalid-json", "counts-missing-key", "counts-bad-cell"])
+        ("budget", json.dumps({**COUNTS_OK, "no_pulse": [[True, 10],
+                                                         [20, 980]]}),
+         "no_pulse must be a 2x2 table of counts"),
+    ], ids=["pulse-invalid-json", "pulse-text-amplitude", "pulse-bool-carrier",
+            "pulse-bool-duration", "pulse-bool-amplitude",
+            "pulse-int-overflow-amplitude", "counts-missing",
+            "counts-invalid-json", "counts-missing-key", "counts-bad-cell",
+            "counts-bool-cell"])
     def test_exit_2_with_message(self, device_path, tmp_path, capsys,
                                  command, content, detail):
         path = tmp_path / "input.json"

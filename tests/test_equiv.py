@@ -10,10 +10,14 @@ from notchlab import (CoupledPairGeometry, DegenerateNotchError, EquivCap,
                       MtlCouplerParams, UnboundedCouplerError,
                       ValidationError, equivalent_cap, equivalent_pair,
                       j_capacitive, j_mtl, map_resonator, notch_branch,
-                      notch_frequency, z21_homogeneous, z21_lumped)
+                      notch_frequency, two_port_z, z21_homogeneous)
 from test_mtl import LINE, random_mtl_geom
 
 TWO_PI = 2 * math.pi
+
+
+def z21_lumped(pair, f):
+    return two_port_z(pair, f)[2]
 
 
 class TestMapResonator:

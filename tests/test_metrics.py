@@ -66,6 +66,11 @@ class TestIncidentFromResonator:
             assert abs(s_in - s_true) / abs(s_true) < 1e-9
             assert p == pytest.approx(hbar * TWO_PI * f_d * abs(s_true) ** 2,
                                       rel=1e-9)
+        # target first: the drive that holds 1.05 x 6.7 photons in Q2
+        n = 1.05 * 6.7
+        s_in, _ = incident_from_resonator(mux_net, "Q2", f_d, math.sqrt(n))
+        x = steady_state(mux_net, "gggg", f_d, s_in)
+        assert abs(x[mux_net.n + 1]) ** 2 == pytest.approx(n, rel=1e-9)
 
     def test_power_quadratic_in_target(self, mux_net):
         f_d = 10.357e9
@@ -540,23 +545,6 @@ class TestMetricsConstants:
         names += [node.module or "" for node in ast.walk(tree)
                   if isinstance(node, ast.ImportFrom)]
         assert not [m for m in names if m.split(".")[0] == "scipy"]
-
-
-class TestMatchedFilter:
-    def test_proportional_and_normalized(self, mux_net):
-        from notchlab import DrivePulse, matched_filter_weights, separation
-        pulse = DrivePulse.rectangular(10.357e9, 1e6, 60e-9)
-        res = separation(mux_net, "Q2", pulse, 1e-9)
-        w = matched_filter_weights(res.t, res.s)
-        assert w.sum() == pytest.approx(1.0, rel=1e-12)
-        nz = res.s > 0
-        ratio = w[nz] / res.s[nz]
-        assert np.allclose(ratio, ratio[0])
-
-    def test_empty_signal_rejected(self):
-        from notchlab import matched_filter_weights
-        with pytest.raises(ValidationError):
-            matched_filter_weights(np.arange(5.0), np.zeros(5))
 
 
 class TestQubitCouplingType:

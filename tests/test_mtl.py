@@ -6,9 +6,8 @@ import pytest
 from abcd_oracle import z21_cap_nodal, z21_mtl_cascade
 from notchlab import (BracketError, CoupledPairGeometry, LineParams,
                       MtlCouplerParams, PoleError, ValidationError,
-                      coupling_diagnostics, find_zero, lambda4_frequency,
-                      notch_frequency, z21_capacitive, z21_general,
-                      z21_homogeneous, z21_multi)
+                      find_zero, lambda4_frequency, notch_frequency,
+                      z21_capacitive, z21_general, z21_homogeneous)
 
 LINE = LineParams(66.0, 1.19e8)
 
@@ -231,32 +230,6 @@ class TestFindZero:
         assert abs(root - notch_frequency(mtl_geom)) / notch_frequency(mtl_geom) < 0.02
 
 
-class TestZ21Multi:
-    def test_single_section_identity(self, mtl_geom):
-        f = 9.1e9
-        assert z21_multi([mtl_geom], f) == z21_general(mtl_geom, f)
-
-    def test_two_identical_sections_double(self, mtl_geom):
-        f = 9.1e9
-        assert z21_multi([mtl_geom, mtl_geom], f) == pytest.approx(
-            2 * z21_general(mtl_geom, f), rel=1e-15)
-
-    def test_zero_between_single_section_notches(self):
-        a = CoupledPairGeometry(1.2e-3, 1.4e-3, 1.0e-3, 1.5e-3,
-                                MtlCouplerParams(0.3e-3, 0.05), LINE)
-        b = CoupledPairGeometry(2.0e-3, 0.6e-3, 1.8e-3, 0.7e-3,
-                                MtlCouplerParams(0.3e-3, 0.05), LINE)
-        f_lo = min(notch_frequency(a), notch_frequency(b)) * 1.01
-        f_hi = max(notch_frequency(a), notch_frequency(b)) * 0.99
-        fs = np.linspace(f_lo, f_hi, 2001)
-        vals = np.array([z21_multi([a, b], f).imag for f in fs])
-        assert np.sum(np.diff(np.sign(vals)) != 0) >= 1
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            z21_multi([], 9e9)
-
-
 class TestReciprocity:
     def test_mirrored_geometry_invariant(self):
         rng = np.random.default_rng(5)
@@ -325,15 +298,6 @@ class TestOracleEquivalence:
 
 
 class TestDiagnostics:
-    def test_weak_coupling_warns(self, mtl_geom):
-        d = coupling_diagnostics(mtl_geom)
-        assert d["cm_over_c"] == pytest.approx(0.066759, abs=1e-6)
-        assert d["k"] == pytest.approx(math.sqrt(1 - 0.066759 ** 2), rel=1e-9)
-        strong = CoupledPairGeometry(
-            1e-3, 1e-3, 1e-3, 1e-3, MtlCouplerParams(0.3e-3, 0.2), LINE)
-        with pytest.warns(UserWarning):
-            coupling_diagnostics(strong)
-
     def test_invariants_rejected(self):
         with pytest.raises(ValidationError):
             MtlCouplerParams(len_c=-1e-3, cm_over_c=0.05)

@@ -14,8 +14,7 @@ from notchlab import (CompositionPoleError, DrivePulse, MuxNetwork,
                       NormalMode, NumericalError, PassivityError,
                       PulseSegment, QubitCoupling,
                       ReadoutChannel, ShuntLC, ValidationError,
-                      critical_photon,
-                      drive_for_photon_number, enhancement_factor,
+                      critical_photon, enhancement_factor,
                       equivalent_pair, gamma_filter, gamma_incident,
                       mode_dispersive_shifts, noise_photon_bound,
                       normal_modes, propagate, separation, shunt_reflection,
@@ -1113,15 +1112,6 @@ class TestEnvelopeSampling:
         assert np.max(np.abs(amps - ref_amps)) <= 1e-14 * peak
 
 
-class TestDrivePhotonHelper:
-    def test_round_trip(self, mux_net):
-        f_d = 10.357e9
-        s_in = drive_for_photon_number(mux_net, "Q2", "gggg", f_d, 1.05 * 6.7)
-        x = steady_state(mux_net, "gggg", f_d, s_in)
-        n = abs(x[mux_net.n + 1]) ** 2
-        assert n == pytest.approx(1.05 * 6.7, rel=1e-9)
-
-
 class TestNetworkValidation:
     def test_duplicate_names_rejected(self):
         ch = ReadoutChannel("a", 10e9, -8e6, 10.02e9, 30e6, 80e6)
@@ -1137,6 +1127,14 @@ class TestNetworkValidation:
     def test_channel_count_bounds(self):
         with pytest.raises(ValidationError):
             MuxNetwork(channels=(), shunt=PAPER_SHUNT)
+
+    @pytest.mark.parametrize("field", ["f_r_g", "chi", "f_p", "j", "gamma_r",
+                                       "gamma_p"])
+    def test_nan_channel_field_named(self, field):
+        bare = dict(name="a", f_r_g=10e9, chi=-8e6, f_p=10.02e9, j=30e6,
+                    kappa_p=80e6)
+        with pytest.raises(ValidationError, match=f"^{field} must be"):
+            ReadoutChannel(**{**bare, field: math.nan})
 
 
 # Every frequency-taking entry point of L1/L2, called at frequency f.

@@ -1,0 +1,43 @@
+"""README's Public API lists exactly the names `notchlab` exports."""
+
+import re
+import types
+from pathlib import Path
+
+import notchlab
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_api_names(text: str) -> set[str]:
+    """Backticked names in the API lists of README's "Public API" section.
+
+    A bullet's list runs from its first colon to the first full stop outside
+    backticks.  Parentheticals (`FitConfig`'s fields, `PARAM_ROWS`' rows)
+    and the prose after a list are not read.
+    """
+    section = text.split("\n## Public API\n", 1)[1]
+    section = section.split("L4 is not re-exported", 1)[0]
+    names = set()
+    for bullet in re.split(r"\n\s*\* ", section)[1:]:
+        while re.search(r"\([^()]*\)", bullet):  # innermost first
+            bullet = re.sub(r"\([^()]*\)", "", bullet)
+        body = bullet.partition(":")[2]  # empty for a layer heading
+        listing = re.match(r"(?:[^.`]|`[^`]*`)*", body).group(0)
+        names.update(re.findall(r"`([^`]+)`", listing))
+    return names
+
+
+def exported_names() -> set[str]:
+    return {name for name, value in vars(notchlab).items()
+            if not name.startswith("_")
+            and not isinstance(value, types.ModuleType)}
+
+
+def test_readme_lists_what_notchlab_exports():
+    listed = readme_api_names(README.read_text())
+    exported = exported_names()
+    assert "ReadoutChannel" in listed and "ValidationError" in listed
+    assert not listed - exported, "README lists names notchlab lacks"
+    assert not exported - listed, "notchlab exports names README omits"
+
