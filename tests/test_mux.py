@@ -16,7 +16,7 @@ from notchlab import (CompositionPoleError, DrivePulse, MuxNetwork,
                       ReadoutChannel, ShuntLC, ValidationError,
                       critical_photon, enhancement_factor,
                       equivalent_pair, gamma_filter, gamma_incident,
-                      mode_dispersive_shifts, noise_photon_bound,
+                      incident_from_resonator, mode_dispersive_shifts, noise_photon_bound,
                       normal_modes, propagate, separation, shunt_reflection,
                       steady_state, system_matrix, t1_purcell, two_port_z,
                       z21_capacitive, z21_general)
@@ -1110,6 +1110,16 @@ class TestEnvelopeSampling:
         ref_amps = np.array([iv[2] for iv in ref])
         peak = np.max(np.abs(ref_amps))
         assert np.max(np.abs(amps - ref_amps)) <= 1e-14 * peak
+
+
+class TestDrivePhotonHelper:
+    def test_round_trip(self, mux_net):
+        # the drive that holds 1.05 x 6.7 photons in Q2 at 10.357 GHz
+        f_d = 10.357e9
+        n = 1.05 * 6.7
+        s_in, _ = incident_from_resonator(mux_net, "Q2", f_d, math.sqrt(n))
+        x = steady_state(mux_net, "gggg", f_d, s_in)
+        assert abs(x[mux_net.n + 1]) ** 2 == pytest.approx(n, rel=1e-9)
 
 
 class TestNetworkValidation:
