@@ -17,8 +17,7 @@ from .metrics import (ErrorBudget, FidelityResult, ReadoutCounts,
                       ShotAnalysis, ShotStats, coherence_limits,
                       error_budget, fidelities, incident_from_resonator,
                       photons_from_stark, rabi_to_omega, separation_error,
-                      shot_analysis, stark_linear_fit, t1_from_drive,
-                      wilson_interval)
+                      shot_analysis, stark_linear_fit, t1_from_drive)
 from .mtl import (C_LIGHT, CoupledPairGeometry, LineParams, MtlCouplerParams,
                   find_zero, lambda4_frequency, notch_frequency,
                   z21_capacitive, z21_general, z21_homogeneous)

@@ -239,6 +239,11 @@ def device_from_dict(raw: dict) -> Device:
         if dup is not None:
             raise ValidationError(f"duplicate {kind} name {dup!r}")
         for i, item in enumerate(raw[key]):  # finite MHz can overflow in Hz
+            # names go unquoted into CSV cells and headers, one per line
+            if not item["name"].isprintable() or set(',"') & set(item["name"]):
+                raise ValidationError(
+                    f"device file invalid at {key}/{i}/name: {item['name']!r} "
+                    "holds a comma, a double quote or an unprintable character")
             for k in (k for k in item if k.endswith("_mhz")):
                 if not math.isfinite(item[k] * _MHZ):
                     raise ValidationError(f"device file invalid at {key}/{i}/"

@@ -103,7 +103,7 @@ def _json_dumps(obj, indent: int = 0) -> str:
     if obj is None:
         return "null"
     if isinstance(obj, str):
-        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+        return json.dumps(obj, ensure_ascii=False)
     if isinstance(obj, float) and not math.isfinite(obj):
         # JSON has no inf/nan literals; emit as strings
         return f'"{format_float(obj)}"'

@@ -180,35 +180,19 @@ class ReadoutCounts:
             object.__setattr__(self, name, arr)
 
 
-def _conditional(table: np.ndarray, first: str, second: str,
-                 name: str) -> tuple[float, int, int]:
+def _conditional(table: np.ndarray, first: str, second: str, name: str) -> float:
     row = table[_IDX[first]]
     total = int(row.sum())
     if total == 0:
         raise ValidationError(
             f"no counts with first outcome {first!r} in table {name!r}")
-    k = int(row[_IDX[second]])
-    return k / total, k, total
-
-
-def wilson_interval(k: int, n: int, z: float = 1.0) -> tuple[float, float]:
-    """Wilson score interval for k successes out of n (z sigma)."""
-    if n <= 0:
-        raise ValidationError("n must be > 0")
-    ph = k / n
-    denom = 1.0 + z ** 2 / n
-    center = (ph + z ** 2 / (2 * n)) / denom
-    half = z * math.sqrt(ph * (1 - ph) / n + z ** 2 / (4 * n ** 2)) / denom
-    return center - half, center + half
+    return int(row[_IDX[second]]) / total
 
 
 @dataclass(frozen=True)
 class FidelityResult:
     f: float
     f_q: float
-    ci_f: tuple[float, float]
-    ci_f_q: tuple[float, float]
-    probs: dict
 
 
 def fidelities(counts: ReadoutCounts) -> FidelityResult:
@@ -216,26 +200,12 @@ def fidelities(counts: ReadoutCounts) -> FidelityResult:
 
     F = [P_0(g2|g1) + P_pi(e2|g1)]/2 uses the sequence with the pi pulse
     between the measurements; F_Q = [P_0(g2|g1) + P_pi(e2|e1)]/2 uses the
-    sequence with the pi pulse first.  Intervals are Wilson scores combined
-    in quadrature.
+    sequence with the pi pulse first.
     """
-    p_gg, k1, n1 = _conditional(counts.no_pulse, "g", "g", "no_pulse")
-    p_eg, k2, n2 = _conditional(counts.pi_before_second, "g", "e",
-                                "pi_before_second")
-    p_ee, k3, n3 = _conditional(counts.pi_before_first, "e", "e",
-                                "pi_before_first")
-    f = 0.5 * (p_gg + p_eg)
-    f_q = 0.5 * (p_gg + p_ee)
-
-    def half_width(k, n):
-        lo, hi = wilson_interval(k, n)
-        return 0.5 * (hi - lo)
-
-    hw_f = 0.5 * math.hypot(half_width(k1, n1), half_width(k2, n2))
-    hw_q = 0.5 * math.hypot(half_width(k1, n1), half_width(k3, n3))
-    return FidelityResult(
-        f=f, f_q=f_q, ci_f=(f - hw_f, f + hw_f), ci_f_q=(f_q - hw_q, f_q + hw_q),
-        probs={"p0_g2_g1": p_gg, "ppi_e2_g1": p_eg, "ppi_e2_e1": p_ee})
+    p_gg = _conditional(counts.no_pulse, "g", "g", "no_pulse")
+    p_eg = _conditional(counts.pi_before_second, "g", "e", "pi_before_second")
+    p_ee = _conditional(counts.pi_before_first, "e", "e", "pi_before_first")
+    return FidelityResult(f=0.5 * (p_gg + p_eg), f_q=0.5 * (p_gg + p_ee))
 
 
 @dataclass(frozen=True)
@@ -379,13 +349,10 @@ def shot_analysis(iq: np.ndarray, labels, n_train: int = 20000) -> ShotAnalysis:
     misassigned ones are 'diamonds', correctly assigned shots outside their
     own ellipse are 'triangles'.
     """
-    iq = np.asarray(iq)
-    if np.iscomplexobj(iq):
-        xy = np.column_stack([iq.real, iq.imag]).astype(float)
-    else:
-        xy = np.asarray(iq, dtype=float)
-        if xy.ndim != 2 or xy.shape[1] != 2:
-            raise ValidationError("iq must be complex or of shape (n, 2)")
+    xy = np.asarray(iq)
+    if xy.dtype.kind not in "iuf" or xy.ndim != 2 or xy.shape[1] != 2:
+        raise ValidationError("iq must be a real array of shape (n, 2)")
+    xy = xy.astype(float, copy=False)
     labels = _shot_labels(labels)
     if labels.size != xy.shape[0]:
         raise ValidationError("labels must match the number of shots")

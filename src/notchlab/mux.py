@@ -442,7 +442,6 @@ class FieldTraces:
     p: np.ndarray          # (N, T) filter amplitudes
     r: np.ndarray          # (N, T) readout amplitudes
     s_out: np.ndarray      # (T,)
-    s_in: np.ndarray       # (T,) drive envelope at the grid times
     f_d: float
     state: str
 
@@ -450,11 +449,9 @@ class FieldTraces:
         if not np.all(np.diff(self.t) > 0):
             raise ValidationError("time grid must be strictly increasing")
         nt = self.t.size
-        for name in ("p", "r"):
+        for name in ("p", "r", "s_out"):
             if getattr(self, name).shape[-1] != nt:
                 raise ValidationError(f"{name} length must match the grid")
-        if self.s_out.size != nt or self.s_in.size != nt:
-            raise ValidationError("field traces must match the grid")
 
 
 def _check_passivity(net: MuxNetwork, a: np.ndarray):
@@ -584,7 +581,7 @@ def propagate(net: MuxNetwork, state: str | Sequence[str], pulse: DrivePulse,
         raise NumericalError("propagated field traces are not finite; a "
                              "parameter or the drive overflows the float range")
     traces = tuple(FieldTraces(t=out_times, p=f[:, :n].T, r=f[:, n:].T,
-                               s_out=s_o, s_in=s_in, f_d=pulse.f_d, state=s)
+                               s_out=s_o, f_d=pulse.f_d, state=s)
                    for f, s_o, s in zip(fields, s_out, states))
     return traces[0] if scalar else traces
 

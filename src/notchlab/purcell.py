@@ -21,6 +21,8 @@ from .errors import BracketError, NumericalError, ValidationError
 from .mtl import (TWO_PI, CoupledPairGeometry, _freq_array, _scalar_or_array,
                   find_zero, z21_auto)
 
+CONSTRAINED_Z0 = 66.0  # ohm; the resonator line impedance of constrained_pair
+
 
 @dataclass(frozen=True)
 class QubitCoupling:
@@ -226,8 +228,9 @@ def c_qr_from_g(g_hz: float, f_q: float, f_r: float, c_q: float,
 
     Standard weak-coupling relation g = C_qr sqrt(w_q w_r) / (2 sqrt(C_q C_r)).
     """
-    if not g_hz > 0:
-        raise ValidationError("g must be > 0")
+    for name, v in (("g", g_hz), ("c_q", c_q), ("c_r", c_r)):
+        if not v > 0:
+            raise ValidationError(f"{name} must be > 0, got {v}")
     return (2.0 * TWO_PI * g_hz * math.sqrt(c_q * c_r)
             / math.sqrt(TWO_PI * f_q * TWO_PI * f_r))
 
@@ -238,21 +241,22 @@ def c_ext_from_kappa(kappa_hz: float, f_p: float, c_p: float,
 
     kappa = w_p^2 C_ext^2 Z0 / C_p at weak line coupling.
     """
-    if not kappa_hz > 0:
-        raise ValidationError("kappa must be > 0")
+    for name, v in (("kappa", kappa_hz), ("c_p", c_p), ("z0_line", z0_line)):
+        if not v > 0:
+            raise ValidationError(f"{name} must be > 0, got {v}")
     w_p = TWO_PI * f_p
     return math.sqrt(TWO_PI * kappa_hz * c_p / (w_p ** 2 * z0_line))
 
 
-def constrained_pair(f_r: float, f_p: float, j_hz: float, f_n: float,
-                     z0: float = 66.0) -> LumpedPair:
+def constrained_pair(f_r: float, f_p: float, j_hz: float,
+                     f_n: float) -> LumpedPair:
     """Lumped pair pinned to measured frequencies and coupling.
 
-    Resonators carry the lambda/4 image impedance 4 Z0/pi; the notch branch
-    impedance is solved from the exact coupling relation so the pair has
-    exchange coupling j_hz and a transmission zero at f_n.
+    Resonators carry the lambda/4 image impedance 4 Z0/pi, Z0 = CONSTRAINED_Z0;
+    the notch branch impedance is solved from the exact coupling relation so
+    the pair has exchange coupling j_hz and a transmission zero at f_n.
     """
-    z_char = 4.0 * z0 / math.pi
+    z_char = 4.0 * CONSTRAINED_Z0 / math.pi
     w_r, w_p, w_n = TWO_PI * f_r, TWO_PI * f_p, TWO_PI * f_n
     readout = LumpedResonator(c=1.0 / (z_char * w_r), l=z_char / w_r)
     filt = LumpedResonator(c=1.0 / (z_char * w_p), l=z_char / w_p)

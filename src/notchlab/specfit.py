@@ -31,7 +31,7 @@ from .mux import MuxNetwork, _branch_partials, _reflection, gamma_incident
 
 # internal optimizer scaling: frequencies in GHz, rates in MHz, tau in ns
 _SCALE = {"f_r_g": 1e9, "f_p": 1e9, "j": 1e6, "kappa_p": 1e6, "chi": 1e6,
-          "gamma_r": 1e6, "gamma_p": 1e6, "theta0": 1.0, "tau": 1e-9}
+          "gamma_r": 1e6, "gamma_p": 1e6, "tau": 1e-9}
 _DEFAULT_FIXED = ("gamma_r", "gamma_p")
 # ReadoutChannel bounds these groups at zero: the optimizer steps through a
 # signed x and the network takes |x|, so a trial step across zero is valid
@@ -64,10 +64,11 @@ class FitConfig:
 
     The initial network should place each resonance within about half a
     filter linewidth of the truth for the local optimizer to be in basin.
-    fix lists parameter groups to freeze at their initial values; internal
-    linewidths are frozen at zero by default because the external decay
-    dominates.  Freeing them needs a lossy initial network: a lossless one
-    reflects with |Gamma| = 1, where the phase is stationary in every loss.
+    fix lists channel parameter groups (mux.PARAM_ROWS) to freeze at their
+    initial values; theta0 and tau are always fit.  Internal linewidths are
+    frozen at zero by default because the external decay dominates.
+    Freeing them needs a lossy initial network: a lossless one reflects
+    with |Gamma| = 1, where the phase is stationary in every loss.
     """
 
     initial: MuxNetwork
@@ -88,7 +89,7 @@ class FitConfig:
             raise ValidationError(
                 f"max_eval must be an integer >= 1, got {self.max_eval!r}")
         for name in self.fix:
-            if name not in _GROUPS + ("theta0", "tau"):
+            if name not in _GROUPS:
                 raise ValidationError(f"unknown fixed-parameter group {name!r}")
         if {"gamma_r", "gamma_p"} - set(self.fix) and not any(
                 c.gamma_r or c.gamma_p for c in self.initial.channels):
@@ -167,16 +168,15 @@ class _Model:
     """The fit's model of (PhaseSpectrum, joint state) pairs at an x.
 
     x holds net0.params[free], free being a boolean (group, channel) mask,
-    then the free scalars ("theta0", "tau"); each divided by its _SCALE.
+    each divided by its _SCALE, then theta0 and tau / _SCALE["tau"].
     """
 
-    def __init__(self, net0: MuxNetwork, pairs, free, scalars):
-        self.net0, self.free, self.scalars = net0, free, tuple(scalars)
+    def __init__(self, net0: MuxNetwork, pairs, free):
+        self.net0, self.free = net0, free
         self.names = [ch.name for ch in net0.channels]
         self.grp, self.chan = np.nonzero(free)
         self.scale = np.array([_SCALE[_GROUPS[g]] for g in self.grp])
-        self.is_mag = np.append(np.isin(self.grp, _MAGNITUDE),
-                                np.zeros(len(self.scalars), dtype=bool))
+        self.is_mag = np.append(np.isin(self.grp, _MAGNITUDE), [False, False])
         # (frequencies, measured phase, joint state, z0 Y_shunt(f) + 0j)
         self.spectra = []
         for spec, joint in pairs:
@@ -185,11 +185,10 @@ class _Model:
                                  * net0.shunt.admittance(f) + 0j))
 
     def pack(self, theta0: float, tau: float) -> np.ndarray:
-        vals = {"theta0": theta0, "tau": tau / _SCALE["tau"]}
         return np.append(self.net0.params[self.free] / self.scale,
-                         [vals[name] for name in self.scalars])
+                         [theta0, tau / _SCALE["tau"]])
 
-    def unpack(self, x, theta0: float, tau: float):
+    def unpack(self, x):
         """(params in the MuxNetwork.params layout, theta0, tau) at x."""
         k = self.grp.size
         p = self.net0.params.copy()
@@ -197,9 +196,7 @@ class _Model:
         p[self.free] = np.where(self.is_mag[:k], np.abs(v), v) * self.scale
         if not np.all(p[_GROUPS.index("kappa_p")] > 0):
             raise ValidationError("kappa_p must be > 0")
-        vals = dict(zip(self.scalars, x[k:]))
-        return (p, vals.get("theta0", theta0),
-                vals["tau"] * _SCALE["tau"] if "tau" in vals else tau)
+        return p, x[k], x[k + 1] * _SCALE["tau"]
 
     def evaluate(self, p, theta0: float, tau: float):
         """(model phase in rad, not wrapped; admittance sum Y; branch terms)
@@ -226,8 +223,7 @@ def _phase_jacobian(model: _Model, p, ev) -> np.ndarray:
     the stacked branch partials of the free entries.
     """
     k = model.grp.size
-    jac = np.empty((sum(f.size for f, *_ in model.spectra),
-                    k + len(model.scalars)))
+    jac = np.empty((sum(f.size for f, *_ in model.spectra), k + 2))
     r0 = 0
     for (f, _, joint, _), (_, y, terms) in zip(model.spectra, ev):
         r1 = r0 + f.size
@@ -236,9 +232,8 @@ def _phase_jacobian(model: _Model, p, ev) -> np.ndarray:
                              in zip(p.T.tolist(), joint, terms)])
         jac[r0:r1, :k] = ((dphi_dy * partials[model.chan, model.grp]).imag
                           * model.scale[:, None]).T
-        for c, name in enumerate(model.scalars, start=k):
-            jac[r0:r1, c] = 1.0 if name == "theta0" else \
-                -TWO_PI * _SCALE["tau"] * f
+        jac[r0:r1, k] = 1.0
+        jac[r0:r1, k + 1] = -TWO_PI * _SCALE["tau"] * f
         r0 = r1
     return jac
 
@@ -263,10 +258,7 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
     if spec_e is None:
         fixed.add("chi")
     free = np.repeat([[g not in fixed] for g in _GROUPS], net0.n, axis=1)
-    scalars = [s for s in ("theta0", "tau") if s not in fixed]
-    n_free = np.count_nonzero(free) + len(scalars)
-    if not n_free:
-        raise ValidationError("no free parameters")
+    n_free = np.count_nonzero(free) + 2  # and theta0, tau
 
     pairs = [(spec_g, "g" * net0.n)]
     if spec_e is not None:
@@ -277,13 +269,13 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
     if sum(spec.freq_hz.size for spec, _ in pairs) < n_free:
         raise ValidationError(f"{n_free} free parameters need at least "
                               "as many spectrum points")
-    model = _Model(net0, pairs, free, scalars)
+    model = _Model(net0, pairs, free)
 
     n_eval = n_jac = 0
     memo = {}  # the last evaluation: x.tobytes() -> (p, model.evaluate)
 
     def evaluate(x):
-        p, th, ta = model.unpack(x, cfg.theta0, cfg.tau)
+        p, th, ta = model.unpack(x)
         memo.clear()
         memo[x.tobytes()] = out = (p, model.evaluate(p, th, ta))
         return out
@@ -302,17 +294,13 @@ def fit_reflection(spec_g: PhaseSpectrum, spec_e: PhaseSpectrum | None,
         return _phase_jacobian(model, p, ev) * np.where(
             model.is_mag & (x < 0), -1.0, 1.0)
 
-    theta0_init, tau_init = cfg.theta0, cfg.tau
-    if "theta0" not in fixed and "tau" not in fixed:
-        # the delay direction of the circular cost is quasi-periodic in
-        # 1/f, so pull theta0/tau into basin on the residual slope first
-        phases0 = [phi for phi, _, _ in model.evaluate(net0.params,
-                                                       cfg.theta0, cfg.tau)]
-        theta0_init, tau_init = _prefit_delay(phases0, model.spectra,
-                                              cfg.theta0, cfg.tau)
-    res = _lm(residuals, jacobian, model.pack(theta0_init, tau_init), cfg.tol,
-              cfg.max_eval)
-    p_f, th_f, ta_f = model.unpack(res.x, cfg.theta0, cfg.tau)
+    # the delay direction of the circular cost is quasi-periodic in 1/f,
+    # so pull theta0/tau into basin on the residual slope first
+    phases0 = [phi for phi, _, _ in model.evaluate(net0.params, cfg.theta0,
+                                                   cfg.tau)]
+    x0 = model.pack(*_prefit_delay(phases0, model.spectra, cfg.theta0, cfg.tau))
+    res = _lm(residuals, jacobian, x0, cfg.tol, cfg.max_eval)
+    p_f, th_f, ta_f = model.unpack(res.x)
     stderr = _standard_errors(res, model)
     if not chi_reported:
         stderr["chi"] = None
@@ -421,7 +409,7 @@ def _lmpar(s2, sc, delta, par):
 
 def _standard_errors(res, model: _Model) -> dict:
     """1-sigma errors: an array over channels per free group (NaN where a
-    channel is fixed), a float per free scalar."""
+    channel is fixed), a float for theta0 and for tau."""
     m, nfree = res.jac.shape
     dof = max(m - nfree, 1)
     s2 = 2.0 * res.cost / dof
@@ -435,6 +423,5 @@ def _standard_errors(res, model: _Model) -> dict:
     table[model.free] = sig[:k] * model.scale
     out: dict = {g: row.copy() for g, row, on
                  in zip(_GROUPS, table, model.free.any(axis=1)) if on}
-    out.update((name, float(s * _SCALE[name]))
-               for name, s in zip(model.scalars, sig[k:]))
+    out["theta0"], out["tau"] = float(sig[k]), float(sig[k + 1] * _SCALE["tau"])
     return out

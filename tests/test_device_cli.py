@@ -297,6 +297,21 @@ class TestEmission:
             write_csv(path, self.HEADER, np.zeros(shape))
         assert not path.exists()
 
+    @pytest.mark.parametrize("row", [(1.0, 2.0), ("Q1", True, 3, 4.0)])
+    def test_cell_row_of_wrong_width_rejected(self, tmp_path, row):
+        with pytest.raises(ValidationError,
+                           match=f"row width {len(row)} != header width 3"):
+            write_csv(tmp_path / "bad.csv", self.HEADER, [(1.0, 2.0, 3.0), row])
+
+    @pytest.mark.parametrize("value,parsed", [
+        (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+        ("Q\n1\t\r\x00\x1f\x7f\"\\ \u03a9", "Q\n1\t\r\x00\x1f\x7f\"\\ \u03a9"),
+    ], ids=["nan", "inf", "-inf", "control-characters"])
+    def test_json_round_trip(self, tmp_path, value, parsed):
+        path = tmp_path / "v.json"
+        write_json(path, {"v": [value]})
+        assert json.loads(path.read_text(encoding="utf-8")) == {"v": [parsed]}
+
 
 class TestCliCommands:
     def test_notch_golden(self, device_path, capsys):
@@ -1165,6 +1180,36 @@ class TestToleranceAndNames:
                            match=f"duplicate {kind} name {raw[key][0]['name']!r}"):
             device_from_dict(raw)
 
+    # a control character, U+2028 (a line end to str.splitlines), CSV quoting
+    BAD_NAMES = ["Q\n1", "Q\x7f1", "Q\u20281", "Q,1", 'Q"1']
+
+    @pytest.mark.parametrize("name", BAD_NAMES)
+    @pytest.mark.parametrize("key", ["geometry", "channels", "qubits"])
+    def test_name_breaking_output_files_rejected(self, key, name):
+        raw = json.loads(paper_device_path().read_text())
+        raw[key][-1]["name"] = name
+        i = len(raw[key]) - 1
+        with pytest.raises(ValidationError, match=re.escape(
+                f"device file invalid at {key}/{i}/name: {name!r}")):
+            device_from_dict(raw)
+
+    @pytest.mark.parametrize("name", BAD_NAMES)
+    @pytest.mark.parametrize("command", ["modes", "device", "design"])
+    def test_name_breaking_output_files_exit_2(self, tmp_path, capsys,
+                                               command, name):
+        # renamed Q1 used to give invalid JSON (modes, device) or a row
+        # wider than its header (design), with exit 0
+        raw = json.loads(paper_device_path().read_text())
+        for key in ("geometry", "channels", "qubits"):
+            raw[key][0]["name"] = name
+        dev = tmp_path / "dev.json"
+        dev.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        assert run([command, "--device", str(dev), "--out", str(out)]) == 2
+        assert "comma, a double quote or an unprintable character" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["device", "design", "purcell"])
     def test_duplicate_channel_name_exit_2(self, tmp_path, capsys, command):
         raw = json.loads(paper_device_path().read_text())
@@ -1177,6 +1222,36 @@ class TestToleranceAndNames:
         assert run([command, "--device", str(dev), *flags,
                     "--out", str(out)]) == 2
         assert "duplicate channel name 'Q1'" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestExit2Branches:
+    """Flag combinations a command cannot run: exit 2, a message, no file."""
+
+    SWEEP = ["--fmin", "7.8e9", "--fmax", "8.8e9", "--points", "11"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (["purcell", "--device", None, "--pair", "Cap", *SWEEP],
+         "purcell sweep expects an MTL pair"),
+        (["purcell", "--device", None, "--pair", "Q1", *SWEEP,
+          "--c-q-ff=-90"], "c_q must be > 0"),
+        (["purcell", "--device", None, "--pair", "Q1", *SWEEP,
+          "--c-q-ff", "nan"], "c_q must be > 0"),
+        (["budget", "--tau-meas-ns", "56", "--t1-us", "26"],
+         "budget needs --snr or --shots"),
+        (["calibrate"], "calibrate needs --stark, --delta-ac-hz or --p-w"),
+        (["calibrate", "--delta-ac-hz", "1e6"], "--delta-ac-hz needs --chi-hz"),
+        (["calibrate", "--p-w", "1e-12"], "--p-w needs --rabi-hz and --f-d-hz"),
+        (["calibrate", "--p-w", "1e-12", "--rabi-hz", "1e6"],
+         "--p-w needs --rabi-hz and --f-d-hz"),
+    ], ids=["purcell-capacitive-pair", "purcell-negative-c_q",
+            "purcell-nan-c_q", "budget-no-snr", "calibrate-no-input",
+            "delta-without-chi", "p-without-rabi", "p-without-f_d"])
+    def test_exit_2(self, device_path, tmp_path, capsys, argv, message):
+        out = tmp_path / "out"
+        argv = [str(device_path) if a is None else a for a in argv]
+        assert run([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
 

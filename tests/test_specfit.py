@@ -269,18 +269,19 @@ def all_names(net, groups=notchlab.specfit._GROUPS):
 
 
 def model_of(net, spectra, free):
-    """specfit's fit model of spectra with x laid out for the names free."""
+    """specfit's fit model of spectra with x laid out for the names free,
+    which end in theta0 and tau."""
     sf = notchlab.specfit
+    assert free[-2:] == ["theta0", "tau"]
     mask = np.array([[f"{grp}[{i}]" in free for i in range(net.n)]
                      for grp in sf._GROUPS])
-    return sf._Model(net, spectra, mask,
-                     [s for s in ("theta0", "tau") if s in free])
+    return sf._Model(net, spectra, mask)
 
 
 def model_phases(x, net, spectra, free):
     """Unwrapped model phase of every spectrum at scaled parameters x."""
     model = model_of(net, spectra, free)
-    p, th, ta = model.unpack(x, 0.0, 0.0)
+    p, th, ta = model.unpack(x)
     net_x = model.network(p)
     return np.concatenate([model_phase(net_x, joint, th, ta, spec.freq_hz)
                            for spec, joint in spectra])
@@ -380,7 +381,7 @@ def fd_fit_reflection(spec_g, spec_e, cfg):
     model = model_of(net0, spectra, free)
 
     def residuals(x):
-        p, th, ta = model.unpack(x, cfg.theta0, cfg.tau)
+        p, th, ta = model.unpack(x)
         net = model.network(p)
         return np.concatenate([
             wrap_phase(model_phase(net, joint, th, ta, spec.freq_hz)
@@ -394,7 +395,7 @@ def fd_fit_reflection(spec_g, spec_e, cfg):
                         method="lm", xtol=cfg.tol, ftol=cfg.tol,
                         gtol=cfg.tol, max_nfev=cfg.max_eval)
     assert res.success
-    p, th, ta = model.unpack(res.x, cfg.theta0, cfg.tau)
+    p, th, ta = model.unpack(res.x)
     return model.network(p), sf._standard_errors(res, model), \
         float(np.sqrt(2.0 * res.cost))
 
@@ -641,6 +642,13 @@ class TestFitConfigLimits:
                                                       max_eval):
         with pytest.raises(ValidationError, match="max_eval must be"):
             FitConfig(initial=mux_net, max_eval=max_eval)
+
+    @pytest.mark.parametrize("name", ["theta0", "tau", "Q1"])
+    def test_fix_names_channel_groups_only(self, mux_net, name):
+        # theta0 and tau are always fit
+        with pytest.raises(ValidationError,
+                           match=f"unknown fixed-parameter group '{name}'"):
+            FitConfig(initial=mux_net, fix=(name,))
 
     def test_limits_accepted(self, mux_net):
         FitConfig(initial=mux_net, tol=np.finfo(float).eps, max_eval=1)
