@@ -6,7 +6,8 @@ error, 3 numerical error.  Each sweep command evaluates its whole
 frequency grid in one vectorized call per quantity.  Commands whose --out
 is optional print to stdout exactly the bytes they would write to the file;
 every flag a subcommand accepts is read by it.  Warnings go to stderr, each
-distinct message once, as "warning: <message>".
+distinct message once, as "warning: <message>".  Each command imports the
+modules it runs, so a geometry-only command loads no network model.
 """
 
 from __future__ import annotations
@@ -18,13 +19,17 @@ import json
 import os
 import sys
 import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import equiv, metrics, mtl, mux, purcell, specfit
+from . import mtl
 from .device import device_to_dict, load_device
 from .errors import NumericalError, ValidationError
 from .io import read_json, write_csv, write_json
+
+if TYPE_CHECKING:
+    from . import mux, specfit
 
 _MHZ = 1e6
 
@@ -32,23 +37,21 @@ _MHZ = 1e6
 def _grid(args) -> np.ndarray:
     if not args.fmax > args.fmin > 0:
         raise ValidationError("need 0 < fmin < fmax")
-    if not 2 <= args.points <= mux.MAX_SAMPLES:
-        raise ValidationError(f"points must lie in [2, {mux.MAX_SAMPLES}]")
+    if not 2 <= args.points <= mtl.MAX_SAMPLES:
+        raise ValidationError(f"points must lie in [2, {mtl.MAX_SAMPLES}]")
     return np.linspace(args.fmin, args.fmax, args.points)
 
 
 # ------------------------------------------------------------------ commands
 
 def _cmd_notch(args) -> int:
-    dev = args.dev
-    f_n = mtl.notch_frequency(dev.pair(args.pair))
+    f_n = mtl.notch_frequency(args.dev.pair(args.pair))
     print(f"{f_n / 1e9:.3f} GHz")
     return 0
 
 
 def _cmd_z21(args) -> int:
-    dev = args.dev
-    geom = dev.pair(args.pair)
+    geom = args.dev.pair(args.pair)
     grid = _grid(args)
     z21 = mtl.z21_auto(geom, grid, pole_guard_hz=args.tol)
     write_csv(args.out, ["freq_hz", "im_z21_ohm"],
@@ -57,6 +60,7 @@ def _cmd_z21(args) -> int:
 
 
 def _cmd_design(args) -> int:
+    from . import equiv
     dev = args.dev
     names = [args.pair] if args.pair else sorted(dev.geometry)
     rows = []
@@ -75,9 +79,8 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_modes(args) -> int:
-    dev = args.dev
-    net = dev.mux_network()
-    modes = mux.normal_modes(net, args.state)
+    from . import mux
+    modes = mux.normal_modes(args.dev.mux_network(), args.state)
     payload = [{"channel": m.channel, "character": m.character,
                 "f_hz": m.f_hz, "kappa_hz": m.kappa_hz} for m in modes]
     write_json(args.out, payload)
@@ -85,8 +88,8 @@ def _cmd_modes(args) -> int:
 
 
 def _cmd_reflect(args) -> int:
-    dev = args.dev
-    net = dev.mux_network()
+    from . import mux
+    net = args.dev.mux_network()
     grid = _grid(args)
     gam = mux.gamma_incident(net, args.state, grid)
     write_csv(args.out, ["freq_hz", "re_gamma", "im_gamma", "phase_rad"],
@@ -103,6 +106,7 @@ def _pulse_number(obj: dict, key: str, scale: float | None = None):
 
 
 def _parse_pulse(spec: str) -> mux.DrivePulse:
+    from . import mux
     if os.path.exists(spec):
         raw = read_json(spec, "pulse file")
     else:
@@ -150,8 +154,8 @@ def _trace_table(net: mux.MuxNetwork, tr: mux.FieldTraces):
 
 
 def _cmd_simulate(args) -> int:
-    dev = args.dev
-    net = dev.mux_network()
+    from . import mux
+    net = args.dev.mux_network()
     pulse = _parse_pulse(args.pulse)
     tr = mux.propagate(net, args.state, pulse, args.dt_ns * 1e-9)
     write_csv(args.out, *_trace_table(net, tr))
@@ -159,10 +163,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_separation(args) -> int:
-    dev = args.dev
-    net = dev.mux_network()
-    pulse = _parse_pulse(args.pulse)
-    res = mux.separation(net, args.pair, pulse, args.dt_ns * 1e-9)
+    from . import mux
+    res = mux.separation(args.dev.mux_network(), args.pair,
+                         _parse_pulse(args.pulse), args.dt_ns * 1e-9)
     if args.out:
         write_csv(args.out, ["time_s", "separation"],
                   np.column_stack([res.t, res.s]))
@@ -172,6 +175,7 @@ def _cmd_separation(args) -> int:
 
 
 def _cmd_purcell(args) -> int:
+    from . import purcell
     dev = args.dev
     geom = dev.pair(args.pair)
     if not geom.is_mtl:
@@ -239,15 +243,16 @@ def _read_columns(path, what: str, columns: tuple[str, ...]) -> list:
 
 
 def _read_spectrum(path) -> specfit.PhaseSpectrum:
+    from . import specfit
     freq, phase = _read_columns(path, "spectrum", ("freq_hz", "phase_rad"))
     return specfit.PhaseSpectrum(freq_hz=freq, phase_rad=phase)
 
 
 def _cmd_fit(args) -> int:
-    dev = args.dev
+    from . import specfit
     spec_g = _read_spectrum(args.spec_g)
     spec_e = _read_spectrum(args.spec_e) if args.spec_e else None
-    cfg = specfit.FitConfig(initial=dev.mux_network(), theta0=args.theta0,
+    cfg = specfit.FitConfig(initial=args.dev.mux_network(), theta0=args.theta0,
                             tau=args.tau_ns * 1e-9, tol=args.tol)
     result = specfit.fit_reflection(spec_g, spec_e, cfg)
     stderr = {key: val.tolist() if isinstance(val, np.ndarray) else val
@@ -270,13 +275,19 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_budget(args) -> int:
+    from . import metrics
+    if args.shots and args.snr is not None:
+        raise ValidationError("budget takes --snr or --shots, not both")
+    if args.train is not None and not args.shots:
+        raise ValidationError("budget --train needs --shots")
     snr = args.snr
     counts = None
     if args.shots:
         labels, i, q = _read_columns(args.shots, "shots",
                                      ("label", "i", "q"))
-        ana = metrics.shot_analysis(np.column_stack([i, q]), labels,
-                                    n_train=args.train)
+        ana = metrics.shot_analysis(
+            np.column_stack([i, q]), labels,
+            n_train=20000 if args.train is None else args.train)
         snr = ana.stats.snr
     if args.counts:
         c = read_json(args.counts, "counts file")
@@ -296,6 +307,7 @@ def _cmd_budget(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    from . import metrics
     payload = {}
     if args.stark:
         power, f_ac = _read_columns(args.stark, "Stark file",
@@ -406,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr", type=float, default=None)
     p.add_argument("--shots", default=None, help="CSV label,i,q")
     p.add_argument("--counts", default=None, help="counts JSON")
-    p.add_argument("--train", type=int, default=20000)
+    p.add_argument("--train", type=int, help="default 20000; needs --shots")
     p.add_argument("--tau-meas-ns", type=float, required=True)
     p.add_argument("--tau-buffer-ns", type=float, default=116.0)
     p.add_argument("--t1-us", type=float, required=True)

@@ -12,12 +12,15 @@ import importlib.resources
 import math
 import sys
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import ValidationError
 from .io import read_json
-from .mtl import CoupledPairGeometry, LineParams, MtlCouplerParams
-from .mux import MuxNetwork, QubitInfo, ReadoutChannel
-from .purcell import ShuntLC
+from .mtl import (CoupledPairGeometry, LineParams, MtlCouplerParams,
+                  QubitInfo, ReadoutChannel, ShuntLC)
+
+if TYPE_CHECKING:  # mux_network imports it when called
+    from .mux import MuxNetwork
 
 _MHZ = 1e6
 _UM = 1e-6
@@ -202,6 +205,7 @@ class Device:
         return self.geometry[name]
 
     def mux_network(self) -> MuxNetwork:
+        from .mux import MuxNetwork
         if not self.channels:
             raise ValidationError("device defines no readout channels")
         return MuxNetwork(channels=self.channels, shunt=self.shunt,

@@ -17,17 +17,12 @@ import numpy as np
 from .errors import (DegenerateNotchError, NumericalError, PoleError,
                      UnboundedCouplerError, ValidationError)
 from .mtl import (TWO_PI, CoupledPairGeometry, LineParams, _float_range,
-                  _freq_array, _scalar_or_array, notch_frequency)
+                  _freq_array, _lc_admittance, _scalar_or_array,
+                  notch_frequency)
 
 # Degeneracy guard for Eq.-style J evaluation: |f_n - f_bar| below this
 # relative threshold is treated as the (physically suppressed) singular case.
 _DEGENERATE_REL = 1e-9
-
-
-def _lc_admittance(f, c: float, l: float):
-    """Admittance i (w c - 1/(w l)) of a parallel LC at frequency f (Hz)."""
-    w = TWO_PI * np.asarray(f, dtype=float)
-    return 1j * (w * c - 1.0 / (w * l))
 
 
 @dataclass(frozen=True)

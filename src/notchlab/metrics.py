@@ -12,12 +12,15 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NumericalError, ValidationError
 from .mtl import TWO_PI
-from .mux import MuxNetwork, steady_state
+
+if TYPE_CHECKING:  # the one mux caller imports it when called
+    from .mux import MuxNetwork
 
 hbar = 1.0545718176461565e-34  # J s; h / 2 pi, the float scipy.constants holds
 GATE_SIGMA = 4.0  # leakage gate of shot_analysis: the paper's 4-sigma ellipses
@@ -53,6 +56,7 @@ def incident_from_resonator(net: MuxNetwork, channel: str, f_d: float,
     amplitude that steady_state gives for a unit drive at f_d.  Returns
     (s_in in sqrt(photons/s), power in W).
     """
+    from .mux import steady_state
     if not f_d > 0:
         raise ValidationError("drive frequency must be > 0")
     state = "g" * net.n if state is None else state
@@ -62,8 +66,7 @@ def incident_from_resonator(net: MuxNetwork, channel: str, f_d: float,
     if r_target == 0:
         return 0.0 + 0.0j, 0.0
     s_in = r_target / steady_state(net, state, f_d)[net.n + idx]
-    power = hbar * TWO_PI * f_d * abs(s_in) ** 2
-    return s_in, power
+    return s_in, hbar * TWO_PI * f_d * abs(s_in) ** 2
 
 
 def stark_linear_fit(points) -> tuple[float, float, float]:
@@ -267,10 +270,8 @@ class ShotAnalysis:
     assigned: np.ndarray           # per-shot predicted label (0 g, 1 e)
     labels: np.ndarray             # per-shot prepared label
     train_mask: np.ndarray
-    misassigned: np.ndarray        # bool, evaluation shots only
     diamonds: np.ndarray           # misassigned outside both 4-sigma ellipses
     circles: np.ndarray            # misassigned inside a 4-sigma ellipse
-    triangles: np.ndarray          # correct but outside own 4-sigma ellipse
     leakage_suspect: np.ndarray    # outside both ellipses
     accuracy: float
 
@@ -345,9 +346,9 @@ def shot_analysis(iq: np.ndarray, labels, n_train: int = 20000) -> ShotAnalysis:
     Fits a bivariate normal per prepared state, fits Fisher's linear
     discriminant (closed form, so it exists also for separable shots) on the
     first n_train shots (in input order) and classifies the remainder.
-    Shots outside both GATE_SIGMA confidence ellipses are leakage suspects:
-    misassigned ones are 'diamonds', correctly assigned shots outside their
-    own ellipse are 'triangles'.
+    Shots outside both GATE_SIGMA confidence ellipses are leakage suspects.
+    Misassigned evaluation shots are 'diamonds' outside both ellipses and
+    'circles' inside one.
     """
     xy = np.asarray(iq)
     if xy.dtype.kind not in "iuf" or xy.ndim != 2 or xy.shape[1] != 2:
@@ -392,13 +393,9 @@ def shot_analysis(iq: np.ndarray, labels, n_train: int = 20000) -> ShotAnalysis:
     out_g = _mahalanobis2(xy, mu_g, prec_g) > r2
     out_e = _mahalanobis2(xy, mu_e, prec_e) > r2
     outside_both = out_g & out_e
-    own_out = np.where(assigned == 0, out_g, out_e)
-    diamonds = mis & outside_both
-    circles = mis & ~outside_both
-    triangles = (assigned == labels) & ev & own_out
     n_ev = max(int(np.sum(ev)), 1)
     return ShotAnalysis(
         stats=stats, weights=w, assigned=assigned, labels=labels,
-        train_mask=train, misassigned=mis, diamonds=diamonds, circles=circles,
-        triangles=triangles, leakage_suspect=outside_both & ev,
+        train_mask=train, diamonds=mis & outside_both,
+        circles=mis & ~outside_both, leakage_suspect=outside_both & ev,
         accuracy=float(np.sum((assigned == labels) & ev) / n_ev))

@@ -5,7 +5,8 @@ of lambda/4 lines joined by a multiconductor-transmission-line (MTL) section
 or by a lumped capacitor.  All public frequencies are ordinary frequencies in
 Hz; angular frequencies only appear inside formula evaluation.  The time
 convention is the electrical-engineering one, exp(+i w t), so lossless
-transfer impedances are purely imaginary.
+transfer impedances are purely imaginary.  The records ReadoutChannel,
+QubitInfo and ShuntLC live here, so a device file loads without mux.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ TWO_PI = 2.0 * math.pi
 # PoleError instead of returning huge values, so root finders cannot mistake
 # a pole for a zero.
 DEFAULT_POLE_GUARD_HZ = 1e3
+
+# most samples one sweep grid or one propagation may hold; larger requests
+# are rejected before anything is allocated
+MAX_SAMPLES = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -146,6 +151,94 @@ class CoupledPairGeometry:
             coupler=self.coupler,
             line=self.line,
         )
+
+
+@dataclass(frozen=True)
+class ReadoutChannel:
+    """Bare parameters of one readout/filter pair (all in Hz).
+
+    f_r_g : readout-resonator frequency with the qubit in g
+    chi : dispersive shift; f_r_e = f_r_g + 2 chi
+    f_p : filter-resonator frequency
+    j : readout-filter coupling
+    kappa_p : filter external linewidth
+    gamma_r, gamma_p : internal linewidths (default lossless)
+    """
+
+    name: str
+    f_r_g: float
+    chi: float
+    f_p: float
+    j: float
+    kappa_p: float
+    gamma_r: float = 0.0
+    gamma_p: float = 0.0
+
+    def __post_init__(self):  # NaN fails every check
+        for name in ("f_r_g", "chi", "f_p"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
+        if not self.kappa_p > 0:
+            raise ValidationError("kappa_p must be > 0")
+        for name in ("j", "gamma_r", "gamma_p"):
+            if not getattr(self, name) >= 0:
+                raise ValidationError(f"{name} must be >= 0")
+
+    def f_r(self, state: str) -> float:
+        """Readout frequency for qubit state 'g' or 'e'."""
+        if state == "g":
+            return self.f_r_g
+        if state == "e":
+            return self.f_r_g + 2.0 * self.chi
+        raise ValidationError(f"state must be 'g' or 'e', got {state!r}")
+
+
+@dataclass(frozen=True)
+class QubitInfo:
+    """Optional qubit metadata attached to a channel (Hz)."""
+
+    f_q: float
+    g: float
+    alpha: float | None = None
+    c_q: float | None = None
+
+
+def _lc_admittance(f, c: float, l: float):
+    """Admittance i (w c - 1/(w l)) of a parallel LC at frequency f (Hz)."""
+    w = TWO_PI * np.asarray(f, dtype=float)
+    return 1j * (w * c - 1.0 / (w * l))
+
+
+@dataclass(frozen=True)
+class ShuntLC:
+    """Parasitic shunt capacitance screened by a spiral inductor."""
+
+    c_shunt: float
+    l_shunt: float
+
+    def __post_init__(self):
+        if not (self.c_shunt > 0 and self.l_shunt > 0):
+            raise ValidationError("shunt elements must be > 0")
+
+    @property
+    def f_screen(self) -> float:
+        """Frequency where the shunt impedance diverges (Hz)."""
+        return 1.0 / (TWO_PI * math.sqrt(self.l_shunt * self.c_shunt))
+
+    def admittance(self, f):
+        # a huge L only sends 1/(w L) to 0; a huge C leaves no finite value
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = _lc_admittance(f, self.c_shunt, self.l_shunt)
+        if not np.all(np.isfinite(y)):
+            raise NumericalError("shunt admittance is not finite; a shunt "
+                                 "element overflows the float range")
+        return y
+
+    def impedance(self, f) -> complex:
+        f, scalar = _freq_array(f)
+        y = self.admittance(f)
+        out = np.where(np.abs(y) == 0.0, np.inf + 0j, 1.0 / np.where(y == 0, 1, y))
+        return _scalar_or_array(out, scalar)
 
 
 def lambda4_frequency(length: float, line: LineParams) -> float:

@@ -27,17 +27,13 @@ import numpy as np
 
 from .errors import (CompositionPoleError, NumericalError, PassivityError,
                      SingularSystemError, ValidationError)
-from .mtl import TWO_PI, _freq_array, _scalar_or_array
-from .purcell import ShuntLC
+from .mtl import (MAX_SAMPLES, TWO_PI, QubitInfo, ReadoutChannel, ShuntLC,
+                  _freq_array, _scalar_or_array)
 
 # raised-cosine edges are sampled piecewise-constant at most this coarsely
 EDGE_SAMPLE_MAX_S = 0.1e-9
 
 MAX_CHANNELS = 8
-
-# most samples one sweep grid or one propagation may hold; larger requests
-# are rejected before anything is allocated
-MAX_SAMPLES = 10 ** 6
 
 # propagate's modal coordinates lose a few 1e-15 cond(V) of the trace, so
 # it refuses cond(V) > COND_MAX; its step blocks decay by at most
@@ -52,56 +48,6 @@ NOISE_GRID_RTOL = 1e-9
 
 # rows of MuxNetwork.params, in the order the spectrum fit lays out its x
 PARAM_ROWS = ("f_r_g", "f_p", "j", "kappa_p", "chi", "gamma_r", "gamma_p")
-
-
-@dataclass(frozen=True)
-class ReadoutChannel:
-    """Bare parameters of one readout/filter pair (all in Hz).
-
-    f_r_g : readout-resonator frequency with the qubit in g
-    chi : dispersive shift; f_r_e = f_r_g + 2 chi
-    f_p : filter-resonator frequency
-    j : readout-filter coupling
-    kappa_p : filter external linewidth
-    gamma_r, gamma_p : internal linewidths (default lossless)
-    """
-
-    name: str
-    f_r_g: float
-    chi: float
-    f_p: float
-    j: float
-    kappa_p: float
-    gamma_r: float = 0.0
-    gamma_p: float = 0.0
-
-    def __post_init__(self):  # NaN fails every check
-        for name in ("f_r_g", "chi", "f_p"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValidationError(f"{name} must be finite")
-        if not self.kappa_p > 0:
-            raise ValidationError("kappa_p must be > 0")
-        for name in ("j", "gamma_r", "gamma_p"):
-            if not getattr(self, name) >= 0:
-                raise ValidationError(f"{name} must be >= 0")
-
-    def f_r(self, state: str) -> float:
-        """Readout frequency for qubit state 'g' or 'e'."""
-        if state == "g":
-            return self.f_r_g
-        if state == "e":
-            return self.f_r_g + 2.0 * self.chi
-        raise ValidationError(f"state must be 'g' or 'e', got {state!r}")
-
-
-@dataclass(frozen=True)
-class QubitInfo:
-    """Optional qubit metadata attached to a channel (Hz)."""
-
-    f_q: float
-    g: float
-    alpha: float | None = None
-    c_q: float | None = None
 
 
 @dataclass(frozen=True)

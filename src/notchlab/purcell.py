@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equiv import (EquivCap, LumpedPair, LumpedResonator, _lc_admittance,
-                    equivalent_pair, j_mtl, map_resonator, two_port_z)
-from .errors import BracketError, NumericalError, ValidationError
-from .mtl import (TWO_PI, CoupledPairGeometry, _freq_array, _scalar_or_array,
-                  find_zero, z21_auto)
+from .equiv import (EquivCap, LumpedPair, LumpedResonator, equivalent_pair,
+                    j_mtl, map_resonator, two_port_z)
+from .errors import BracketError, ValidationError
+from .mtl import (TWO_PI, CoupledPairGeometry, ShuntLC, _freq_array,
+                  _scalar_or_array, find_zero, z21_auto)
 
 CONSTRAINED_Z0 = 66.0  # ohm; the resonator line impedance of constrained_pair
 
@@ -45,38 +45,6 @@ class QubitCoupling:
         for name in ("c_q", "c_qr", "c_ext", "z0_line", "f_q"):
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be > 0")
-
-
-@dataclass(frozen=True)
-class ShuntLC:
-    """Parasitic shunt capacitance screened by a spiral inductor."""
-
-    c_shunt: float
-    l_shunt: float
-
-    def __post_init__(self):
-        if not (self.c_shunt > 0 and self.l_shunt > 0):
-            raise ValidationError("shunt elements must be > 0")
-
-    @property
-    def f_screen(self) -> float:
-        """Frequency where the shunt impedance diverges (Hz)."""
-        return 1.0 / (TWO_PI * math.sqrt(self.l_shunt * self.c_shunt))
-
-    def admittance(self, f):
-        # a huge L only sends 1/(w L) to 0; a huge C leaves no finite value
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = _lc_admittance(f, self.c_shunt, self.l_shunt)
-        if not np.all(np.isfinite(y)):
-            raise NumericalError("shunt admittance is not finite; a shunt "
-                                 "element overflows the float range")
-        return y
-
-    def impedance(self, f) -> complex:
-        f, scalar = _freq_array(f)
-        y = self.admittance(f)
-        out = np.where(np.abs(y) == 0.0, np.inf + 0j, 1.0 / np.where(y == 0, 1, y))
-        return _scalar_or_array(out, scalar)
 
 
 def _line_mods(f: np.ndarray, z0_line: float, shunt: ShuntLC | None):

@@ -1254,6 +1254,33 @@ class TestExit2Branches:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags,message", [
+        (["--snr", "8.4", "--shots", None],
+         "budget takes --snr or --shots, not both"),
+        (["--snr", "8.4", "--train", "400"], "budget --train needs --shots"),
+    ], ids=["snr-with-shots", "train-without-shots"])
+    def test_budget_flag_it_would_not_read(self, tmp_path, capsys, flags,
+                                           message):
+        shots = tmp_path / "shots.csv"
+        shots.write_text(_shots_csv())
+        out = tmp_path / "budget.json"
+        flags = [str(shots) if f is None else f for f in flags]
+        assert run(["budget", *flags, "--tau-meas-ns", "56", "--t1-us", "26",
+                    "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_budget_train_reaches_shot_analysis(self, tmp_path, capsys):
+        shots = tmp_path / "shots.csv"
+        shots.write_text(_shots_csv())
+        codes = []
+        for train in ([], ["--train", "20000"], ["--train", "1"]):
+            codes.append(run(["budget", "--shots", str(shots), *train,
+                              "--tau-meas-ns", "56", "--t1-us", "26",
+                              "--out", str(tmp_path / "budget.json")]))
+        assert codes == [0, 0, 2]
+        assert "the first n_train = 1 shots" in capsys.readouterr().err
+
 
 class TestNonFiniteFlags:
     """A nan or inf number flag exits 2 with a message and writes nothing."""
@@ -1423,6 +1450,75 @@ def test_cli_loads_no_scipy(device_path, tmp_path):
     for phase, argvs in phases.items():
         assert seen[phase][0] == [0] * len(argvs), proc.stderr
     assert seen["numpy_only"][1] == []
+
+
+_LOADED = """
+import json, sys
+from notchlab.cli import run
+code = run(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("notchlab."))]))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(device_path, tmp_path):
+    # every command in its own fresh interpreter, so nothing is loaded by an
+    # earlier one; geometry commands must not pay for the network model
+    from notchlab import synth_spectrum
+
+    net = load_device(device_path).mux_network()
+    grid = np.linspace(10.0e9, 10.9e9, 201)
+    spec = synth_spectrum(net, "g", 0.4, 0.2e-9, grid, 0.0)
+    write_csv(tmp_path / "g.csv", ["freq_hz", "phase_rad"],
+              list(zip(spec.freq_hz, spec.phase_rad)))
+    (tmp_path / "shots.csv").write_text(_shots_csv())
+    (tmp_path / "stark.csv").write_text(STARK_OK)
+    dev = ["--device", str(device_path)]
+    pulse = json.dumps({"carrier_mhz": 10357.0, "rectangular": {
+        "amplitude": 1e6, "duration_ns": 20.0}})
+    sweep = ["--fmin", "8.0e9", "--fmax", "8.5e9", "--points", "11"]
+    network = {"notchlab.mux", "notchlab.metrics", "notchlab.specfit"}
+    cases = {  # name: (argv, modules it must not load)
+        "notch": (["notch", *dev, "--pair", "Q1"], network),
+        "z21": (["z21", *dev, "--pair", "Q1", *sweep], network),
+        "device": (["device", *dev], network),
+        "design": (["design", *dev], network),
+        "budget": (["budget", "--snr", "8.4", "--tau-meas-ns", "56",
+                    "--t1-us", "26"], {"notchlab.mux", "notchlab.specfit"}),
+        "budget-shots": (["budget", "--shots", str(tmp_path / "shots.csv"),
+                          "--tau-meas-ns", "56", "--t1-us", "26"],
+                         {"notchlab.mux", "notchlab.specfit"}),
+        "calibrate": (["calibrate", "--stark", str(tmp_path / "stark.csv")],
+                      {"notchlab.mux", "notchlab.specfit"}),
+        "modes": (["modes", *dev], {"notchlab.specfit"}),
+        "reflect": (["reflect", *dev, "--fmin", "10.0e9", "--fmax", "10.9e9",
+                     "--points", "11"], {"notchlab.specfit"}),
+        "purcell": (["purcell", *dev, "--pair", "Q1", *sweep],
+                    {"notchlab.specfit"}),
+        "simulate": (["simulate", *dev, "--pulse", pulse, "--dt-ns", "1.0"],
+                     {"notchlab.specfit"}),
+        "separation": (["separation", *dev, "--pair", "Q2", "--pulse", pulse],
+                       {"notchlab.specfit"}),
+        "fit": (["fit", *dev, "--spec-g", str(tmp_path / "g.csv")], set()),
+    }
+    src = str(Path(notchlab.cli.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    loaded = {}
+    for name, (argv, forbidden) in cases.items():
+        if argv[0] not in ("notch", "separation"):
+            argv = [*argv, "--out", str(tmp_path / f"{name}.out")]
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED, json.dumps(argv)], env=env,
+            check=True, capture_output=True, text=True)
+        code, loaded[name] = json.loads(proc.stdout.splitlines()[-1])
+        assert code == 0, (name, proc.stderr)
+        assert not forbidden & set(loaded[name]), (name, loaded[name])
+    assert loaded["notch"] == ["notchlab.cli", "notchlab.device",
+                               "notchlab.errors", "notchlab.io",
+                               "notchlab.mtl"]
+    assert "notchlab.specfit" in loaded["fit"]
 
 
 def test_cli_never_loads_jsonschema(device_path, tmp_path):

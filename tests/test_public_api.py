@@ -2,7 +2,11 @@
 fields of each dataclass it lists them for."""
 
 import dataclasses
+import json
+import os
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -35,9 +39,11 @@ def readme_api_names(text: str) -> set[str]:
 
 
 def exported_names() -> set[str]:
-    return {name for name, value in vars(notchlab).items()
-            if not name.startswith("_")
-            and not isinstance(value, types.ModuleType)}
+    """notchlab.__all__, each name resolved; none may be a module."""
+    values = {name: getattr(notchlab, name) for name in notchlab.__all__}
+    modules = [n for n, v in values.items() if isinstance(v, types.ModuleType)]
+    assert not modules, f"notchlab exports modules {modules}"
+    return set(values)
 
 
 def test_readme_lists_what_notchlab_exports():
@@ -46,6 +52,35 @@ def test_readme_lists_what_notchlab_exports():
     assert "ReadoutChannel" in listed and "ValidationError" in listed
     assert not listed - exported, "README lists names notchlab lacks"
     assert not exported - listed, "notchlab exports names README omits"
+
+
+def test_moved_records_resolve_at_their_former_homes():
+    from notchlab import mtl, mux, purcell
+    assert mux.ReadoutChannel is mtl.ReadoutChannel is notchlab.ReadoutChannel
+    assert mux.QubitInfo is mtl.QubitInfo is notchlab.QubitInfo
+    assert purcell.ShuntLC is mux.ShuntLC is mtl.ShuntLC is notchlab.ShuntLC
+    assert mux.MAX_SAMPLES is mtl.MAX_SAMPLES
+
+
+def test_import_is_lazy_and_star_import_binds_every_name():
+    # a fresh interpreter: this one has imported submodules already
+    src = str(Path(notchlab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    code = ("import json, sys\n"
+            "import notchlab\n"
+            "bare = sorted(m for m in sys.modules if m.startswith('notchlab.'))\n"
+            "scope = {}\n"
+            "exec('from notchlab import *', scope)\n"
+            "print(json.dumps([bare, sorted(set(scope) - {'__builtins__'}),\n"
+            "                  notchlab.__all__]))\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    bare, bound, exported = json.loads(out)
+    assert bare == []
+    assert bound == sorted(exported)
+    assert set(exported) == readme_api_names(README.read_text())
 
 
 
