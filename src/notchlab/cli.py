@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import mtl
-from .device import device_to_dict, load_device
+from .device import _CHANNEL, _file_object, device_to_dict, load_device
 from .errors import NumericalError, ValidationError
 from .io import read_json, write_csv, write_json
 
@@ -257,12 +257,9 @@ def _cmd_fit(args) -> int:
     result = specfit.fit_reflection(spec_g, spec_e, cfg)
     stderr = {key: val.tolist() if isinstance(val, np.ndarray) else val
               for key, val in result.stderr.items()}
+    fitted = [row for row in _CHANNEL if row.required]  # not the gammas
     payload = {
-        "channels": [{
-            "name": c.name,
-            **{f"{k}_mhz": getattr(c, k) / _MHZ
-               for k in ("f_r_g", "chi", "f_p", "j", "kappa_p")},
-        } for c in result.network.channels],
+        "channels": [_file_object(fitted, c) for c in result.network.channels],
         "theta0_rad": result.theta0,
         "tau_s": result.tau,
         "residual": result.residual_norm,
@@ -278,17 +275,12 @@ def _cmd_budget(args) -> int:
     from . import metrics
     if args.shots and args.snr is not None:
         raise ValidationError("budget takes --snr or --shots, not both")
-    if args.train is not None and not args.shots:
-        raise ValidationError("budget --train needs --shots")
     snr = args.snr
     counts = None
     if args.shots:
         labels, i, q = _read_columns(args.shots, "shots",
                                      ("label", "i", "q"))
-        ana = metrics.shot_analysis(
-            np.column_stack([i, q]), labels,
-            n_train=20000 if args.train is None else args.train)
-        snr = ana.stats.snr
+        snr = metrics.shot_analysis(np.column_stack([i, q]), labels).stats.snr
     if args.counts:
         c = read_json(args.counts, "counts file")
         names = [f.name for f in dataclasses.fields(metrics.ReadoutCounts)]
@@ -418,7 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr", type=float, default=None)
     p.add_argument("--shots", default=None, help="CSV label,i,q")
     p.add_argument("--counts", default=None, help="counts JSON")
-    p.add_argument("--train", type=int, help="default 20000; needs --shots")
     p.add_argument("--tau-meas-ns", type=float, required=True)
     p.add_argument("--tau-buffer-ns", type=float, default=116.0)
     p.add_argument("--t1-us", type=float, required=True)

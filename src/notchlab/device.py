@@ -2,8 +2,11 @@
 
 The on-disk JSON uses the units the design tables are quoted in (lengths in
 micrometres, frequencies in MHz); the library speaks SI.  Conversion happens
-here and only here.  The module walks DEVICE_SCHEMA itself, a JSON Schema
-that rejects unknown keys; every number must also be finite.
+here and only here.  Each file record (the line, the shunt, a geometry, its
+MTL or capacitive coupler, a channel, a qubit) is one table with a row per
+file key.  DEVICE_SCHEMA, a JSON Schema that rejects unknown keys, the
+loader and the emitter are all read from these tables.  The module walks
+the schema itself; every number must also be finite.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import importlib.resources
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -25,117 +29,67 @@ if TYPE_CHECKING:  # mux_network imports it when called
 _MHZ = 1e6
 _UM = 1e-6
 
-# ReadoutChannel fields, stored in the file as <field>_mhz
-_CHANNEL_FIELDS = ("f_r_g", "chi", "f_p", "j", "kappa_p", "gamma_r", "gamma_p")
-# CoupledPairGeometry segment lengths, stored in the file as <field>_um
-_SEGMENT_FIELDS = ("l_r_open", "l_r_short", "l_p_open", "l_p_short")
-# QubitInfo frequencies, stored in the file as <field>_mhz
-_QUBIT_FIELDS = ("f_q", "alpha", "g")
+
+# One key of a file record: the record field it fills (None for a coupler's
+# const type), the SI value of one file unit (None keeps the number as read),
+# its schema and whether it is required.  Row order is the file's key order.
+_Row = namedtuple("_Row", "key attr scale schema required", defaults=(True,))
+
+
+def _object(table) -> dict:
+    """JSON Schema of a file object holding the table's keys and no other."""
+    return {"type": "object", "additionalProperties": False,
+            "required": [row.key for row in table if row.required],
+            "properties": {row.key: row.schema for row in table}}
+
 
 _POS = {"type": "number", "exclusiveMinimum": 0}
 _NONNEG = {"type": "number", "minimum": 0}
+_NAME = _Row("name", "name", None, {"type": "string", "minLength": 1})
 
-DEVICE_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["line", "shunt", "geometry", "channels", "qubits"],
-    "properties": {
-        "line": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["z0_ohm", "v_m_per_s"],
-            "properties": {
-                "z0_ohm": _POS,
-                "v_m_per_s": _POS,
-                "z0_line_ohm": _POS,
-            },
-        },
-        "shunt": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["c_f", "l_h"],
-            "properties": {"c_f": _POS, "l_h": _POS},
-        },
-        "geometry": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["name", "l_r_open_um", "l_r_short_um",
-                             "l_p_open_um", "l_p_short_um", "coupler"],
-                "properties": {
-                    "name": {"type": "string", "minLength": 1},
-                    "l_r_open_um": _NONNEG,
-                    "l_r_short_um": _NONNEG,
-                    "l_p_open_um": _NONNEG,
-                    "l_p_short_um": _NONNEG,
-                    "coupler": {
-                        "oneOf": [
-                            {
-                                "type": "object",
-                                "additionalProperties": False,
-                                "required": ["type", "len_um", "cm_over_c"],
-                                "properties": {
-                                    "type": {"const": "mtl"},
-                                    "len_um": _NONNEG,
-                                    "cm_over_c": {"type": "number",
-                                                  "minimum": 0,
-                                                  "exclusiveMaximum": 1},
-                                    "zm_over_z0": _POS,
-                                    "d_um": _POS,
-                                },
-                            },
-                            {
-                                "type": "object",
-                                "additionalProperties": False,
-                                "required": ["type", "c_j_f"],
-                                "properties": {
-                                    "type": {"const": "capacitive"},
-                                    "c_j_f": _NONNEG,
-                                },
-                            },
-                        ]
-                    },
-                },
-            },
-        },
-        "channels": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["name", "f_r_g_mhz", "chi_mhz", "f_p_mhz",
-                             "j_mhz", "kappa_p_mhz"],
-                "properties": {
-                    "name": {"type": "string", "minLength": 1},
-                    "f_r_g_mhz": _POS,
-                    "chi_mhz": {"type": "number"},
-                    "f_p_mhz": _POS,
-                    "j_mhz": _NONNEG,
-                    "kappa_p_mhz": _POS,
-                    "gamma_r_mhz": _NONNEG,
-                    "gamma_p_mhz": _NONNEG,
-                },
-            },
-        },
-        "qubits": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "additionalProperties": False,
-                "required": ["name", "f_q_mhz", "alpha_mhz", "g_mhz"],
-                "properties": {
-                    "name": {"type": "string", "minLength": 1},
-                    "f_q_mhz": _POS,
-                    "alpha_mhz": {"type": "number"},
-                    "g_mhz": _POS,
-                    "c_q_f": _POS,
-                },
-            },
-        },
-    },
-}
+_LINE = (_Row("z0_ohm", "z0", None, _POS),
+         _Row("v_m_per_s", "v", None, _POS),
+         _Row("z0_line_ohm", "z0_line", None, _POS, False))  # Device.z0_line
+_SHUNT = (_Row("c_f", "c_shunt", None, _POS),
+          _Row("l_h", "l_shunt", None, _POS))
+_MTL = (_Row("type", None, None, {"const": "mtl"}),
+        _Row("len_um", "len_c", _UM, _NONNEG),
+        _Row("cm_over_c", "cm_over_c", None,
+             {"type": "number", "minimum": 0, "exclusiveMaximum": 1}),
+        _Row("zm_over_z0", "zm_over_z0", None, _POS, False),
+        _Row("d_um", "d", _UM, _POS, False))
+# read as a float; emitted from the geometry's c_j
+_CAPACITIVE = (_Row("type", None, None, {"const": "capacitive"}),
+               _Row("c_j_f", "c_j", 1.0, _NONNEG))
+_GEOMETRY = (_NAME,
+             _Row("l_r_open_um", "l_r_open", _UM, _NONNEG),
+             _Row("l_r_short_um", "l_r_short", _UM, _NONNEG),
+             _Row("l_p_open_um", "l_p_open", _UM, _NONNEG),
+             _Row("l_p_short_um", "l_p_short", _UM, _NONNEG),
+             _Row("coupler", "coupler", None,
+                  {"oneOf": [_object(_MTL), _object(_CAPACITIVE)]}))
+_CHANNEL = (_NAME,
+            _Row("f_r_g_mhz", "f_r_g", _MHZ, _POS),
+            _Row("chi_mhz", "chi", _MHZ, {"type": "number"}),
+            _Row("f_p_mhz", "f_p", _MHZ, _POS),
+            _Row("j_mhz", "j", _MHZ, _NONNEG),
+            _Row("kappa_p_mhz", "kappa_p", _MHZ, _POS),
+            _Row("gamma_r_mhz", "gamma_r", _MHZ, _NONNEG, False),
+            _Row("gamma_p_mhz", "gamma_p", _MHZ, _NONNEG, False))
+_QUBIT = (_NAME,
+          _Row("f_q_mhz", "f_q", _MHZ, _POS),
+          _Row("alpha_mhz", "alpha", _MHZ, {"type": "number"}),
+          _Row("g_mhz", "g", _MHZ, _POS),
+          _Row("c_q_f", "c_q", None, _POS, False))
+# the file's arrays of named records
+_NAMED = (("geometry", _GEOMETRY), ("channels", _CHANNEL), ("qubits", _QUBIT))
+_DEVICE = (_Row("line", "line", None, _object(_LINE)),
+           _Row("shunt", "shunt", None, _object(_SHUNT)),
+           *(_Row(key, key, None, {"type": "array", "items": _object(table)})
+             for key, table in _NAMED))
+
+DEVICE_SCHEMA = {"$schema": "https://json-schema.org/draft/2020-12/schema",
+                 **_object(_DEVICE)}
 
 _TYPES = {"object": dict, "array": list, "string": str, "number": (int, float)}
 
@@ -217,15 +171,25 @@ class Device:
         return self.qubits[name]
 
 
-def _coupler_from_json(obj) -> MtlCouplerParams | float:
-    if obj["type"] == "mtl":
-        return MtlCouplerParams(
-            len_c=obj["len_um"] * _UM,
-            cm_over_c=obj["cm_over_c"],
-            zm_over_z0=obj.get("zm_over_z0", 1.0),
-            d=obj["d_um"] * _UM if "d_um" in obj else None,
-        )
-    return float(obj["c_j_f"])
+def _fields(table, obj) -> dict:
+    """{record field: SI value} of a file object; the record's own defaults
+    stand in for absent keys."""
+    return {row.attr: obj[row.key] if row.scale is None
+            else obj[row.key] * row.scale
+            for row in table if row.attr and row.key in obj}
+
+
+def _file_object(table, rec, **given) -> dict:
+    """File object of record rec, the inverse of _fields: a field in given
+    is read from there, and a field that is None is left out."""
+    out = {}
+    for row in table:
+        value = (row.schema["const"] if row.attr is None
+                 else given[row.attr] if row.attr in given
+                 else getattr(rec, row.attr))
+        if value is not None:
+            out[row.key] = value if row.scale is None else value / row.scale
+    return out
 
 
 def device_from_dict(raw: dict) -> Device:
@@ -233,38 +197,35 @@ def device_from_dict(raw: dict) -> Device:
     if err := _schema_error(raw):
         where = "/".join(map(str, err[0])) or "(root)"
         raise ValidationError(f"device file invalid at {where}: {err[1]}")
-    line = LineParams(z0=raw["line"]["z0_ohm"], v=raw["line"]["v_m_per_s"])
-    z0_line = raw["line"].get("z0_line_ohm", 50.0)
-    shunt = ShuntLC(c_shunt=raw["shunt"]["c_f"], l_shunt=raw["shunt"]["l_h"])
-    for key, kind in (("geometry", "geometry"), ("channels", "channel"),
-                      ("qubits", "qubit")):
-        names = [item["name"] for item in raw[key]]
+    raw_line, raw_shunt, *named = (raw[row.key] for row in _DEVICE)
+    line = _fields(_LINE, raw_line)
+    z0_line = line.pop("z0_line", 50.0)  # a Device field, not a LineParams one
+    line, shunt = LineParams(**line), ShuntLC(**_fields(_SHUNT, raw_shunt))
+    for (key, table), items in zip(_NAMED, named):
+        names = [item["name"] for item in items]
         dup = next((nm for i, nm in enumerate(names) if nm in names[:i]), None)
         if dup is not None:
-            raise ValidationError(f"duplicate {kind} name {dup!r}")
-        for i, item in enumerate(raw[key]):  # finite MHz can overflow in Hz
+            raise ValidationError(f"duplicate {key.rstrip('s')} name {dup!r}")
+        scale = {row.key: row.scale for row in table}
+        for i, item in enumerate(items):
             # names go unquoted into CSV cells and headers, one per line
             if not item["name"].isprintable() or set(',"') & set(item["name"]):
                 raise ValidationError(
                     f"device file invalid at {key}/{i}/name: {item['name']!r} "
                     "holds a comma, a double quote or an unprintable character")
-            for k in (k for k in item if k.endswith("_mhz")):
-                if not math.isfinite(item[k] * _MHZ):
+            for k in item:  # only the MHz scale grows a number: it can overflow
+                if scale[k] and not math.isfinite(item[k] * scale[k]):
                     raise ValidationError(f"device file invalid at {key}/{i}/"
                                           f"{k}: {item[k]:.6g} MHz overflows")
-    geometry = {g["name"]: CoupledPairGeometry(
-        **{k: g[f"{k}_um"] * _UM for k in _SEGMENT_FIELDS},
-        coupler=_coupler_from_json(g["coupler"]), line=line)
-        for g in raw["geometry"]}
-    # the schema requires every channel field but the internal linewidths
-    channels = tuple(
-        ReadoutChannel(name=c["name"], **{k: c.get(f"{k}_mhz", 0.0) * _MHZ
-                                          for k in _CHANNEL_FIELDS})
-        for c in raw["channels"]
-    )
-    qubits = {q["name"]: QubitInfo(
-        **{k: q[f"{k}_mhz"] * _MHZ for k in _QUBIT_FIELDS}, c_q=q.get("c_q_f"))
-        for q in raw["qubits"]}
+    geometry = {}
+    for kw in (_fields(_GEOMETRY, g) for g in named[0]):
+        cp, name = kw.pop("coupler"), kw.pop("name")
+        geometry[name] = CoupledPairGeometry(**kw, line=line, coupler=(
+            MtlCouplerParams(**_fields(_MTL, cp)) if cp["type"] == "mtl"
+            else _fields(_CAPACITIVE, cp)["c_j"]))
+    channels = tuple(ReadoutChannel(**_fields(_CHANNEL, c)) for c in named[1])
+    qubits = {kw.pop("name"): QubitInfo(**kw)  # the key is evaluated first
+              for kw in (_fields(_QUBIT, q) for q in named[2])}
     return Device(line=line, z0_line=z0_line, shunt=shunt, geometry=geometry,
                   channels=channels, qubits=qubits)
 
@@ -277,39 +238,16 @@ def load_device(path) -> Device:
 
 def device_to_dict(dev: Device) -> dict:
     """Inverse of device_from_dict (units restored to the file convention)."""
-    geometry = []
-    for name, g in dev.geometry.items():
-        if g.is_mtl:
-            cp = {"type": "mtl", "len_um": g.coupler.len_c / _UM,
-                  "cm_over_c": g.coupler.cm_over_c,
-                  "zm_over_z0": g.coupler.zm_over_z0}
-            if g.coupler.d is not None:
-                cp["d_um"] = g.coupler.d / _UM
-        else:
-            cp = {"type": "capacitive", "c_j_f": g.c_j}
-        geometry.append({
-            "name": name,
-            **{f"{k}_um": getattr(g, k) / _UM for k in _SEGMENT_FIELDS},
-            "coupler": cp,
-        })
-    channels = [{
-        "name": c.name,
-        **{f"{k}_mhz": getattr(c, k) / _MHZ for k in _CHANNEL_FIELDS},
-    } for c in dev.channels]
-    qubits = [{
-        "name": name,
-        # a QubitInfo built in code may leave alpha None
-        **{f"{k}_mhz": (getattr(q, k) or 0.0) / _MHZ for k in _QUBIT_FIELDS},
-        **({"c_q_f": q.c_q} if q.c_q is not None else {}),
-    } for name, q in dev.qubits.items()]
-    return {
-        "line": {"z0_ohm": dev.line.z0, "v_m_per_s": dev.line.v,
-                 "z0_line_ohm": dev.z0_line},
-        "shunt": {"c_f": dev.shunt.c_shunt, "l_h": dev.shunt.l_shunt},
-        "geometry": geometry,
-        "channels": channels,
-        "qubits": qubits,
-    }
+    geometry = [_file_object(_GEOMETRY, g, name=name, coupler=(
+        _file_object(_MTL, g.coupler) if g.is_mtl
+        else _file_object(_CAPACITIVE, g))) for name, g in dev.geometry.items()]
+    return _file_object(
+        _DEVICE, dev, geometry=geometry,
+        line=_file_object(_LINE, dev.line, z0_line=dev.z0_line),
+        shunt=_file_object(_SHUNT, dev.shunt),
+        channels=[_file_object(_CHANNEL, c) for c in dev.channels],
+        qubits=[_file_object(_QUBIT, q, name=name)
+                for name, q in dev.qubits.items()])
 
 
 def paper_device_path():

@@ -199,7 +199,7 @@ class QubitInfo:
 
     f_q: float
     g: float
-    alpha: float | None = None
+    alpha: float
     c_q: float | None = None
 
 

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import copy
 import functools
+import hashlib
 import inspect
 import io
 import json
@@ -23,9 +24,11 @@ from hypothesis import strategies as st
 import notchlab.cli
 from notchlab import NumericalError, ValidationError
 from notchlab.cli import build_parser, run
-from notchlab.device import (DEVICE_SCHEMA, _schema_error, device_from_dict,
-                             device_to_dict, load_device, load_paper_device,
-                             paper_device_path)
+from notchlab.device import (DEVICE_SCHEMA, Device, _schema_error,
+                             device_from_dict, device_to_dict, load_device,
+                             load_paper_device, paper_device_path)
+from notchlab.mtl import (CoupledPairGeometry, LineParams, MtlCouplerParams,
+                          QubitInfo, ReadoutChannel, ShuntLC)
 from notchlab.mux import mode_dispersive_shifts, normal_modes
 from notchlab.io import format_float, write_csv, write_json
 
@@ -238,6 +241,96 @@ class TestSchemaWalker:
         with pytest.raises(ValidationError,
                            match=f"^device file invalid at {message}$"):
             device_from_dict(raw)
+
+
+# PAPER_RAW with the internal linewidths' default 0 written out: the device
+# emits every key of it, in its order
+FULL_RAW = copy.deepcopy(PAPER_RAW)
+for _c in FULL_RAW["channels"]:
+    _c.setdefault("gamma_r_mhz", 0)
+    _c.setdefault("gamma_p_mhz", 0)
+
+
+def _json_bytes(tmp_path, obj) -> bytes:
+    path = tmp_path / "emitted.json"
+    write_json(path, obj)
+    return path.read_bytes()
+
+
+def _full_raw_in_si():
+    """FULL_RAW's device built in code, by field position, in SI units."""
+    um, mhz = 1e-6, 1e6
+    ln, sh = FULL_RAW["line"], FULL_RAW["shunt"]
+    line = LineParams(ln["z0_ohm"], ln["v_m_per_s"])
+    geometry = {}
+    for g in FULL_RAW["geometry"]:
+        cp = g["coupler"]
+        coupler = (MtlCouplerParams(cp["len_um"] * um, cp["cm_over_c"],
+                                    cp["zm_over_z0"], cp["d_um"] * um)
+                   if cp["type"] == "mtl" else float(cp["c_j_f"]))
+        geometry[g["name"]] = CoupledPairGeometry(
+            g["l_r_open_um"] * um, g["l_r_short_um"] * um,
+            g["l_p_open_um"] * um, g["l_p_short_um"] * um, coupler, line)
+    channels = tuple(ReadoutChannel(
+        c["name"], c["f_r_g_mhz"] * mhz, c["chi_mhz"] * mhz,
+        c["f_p_mhz"] * mhz, c["j_mhz"] * mhz, c["kappa_p_mhz"] * mhz,
+        c["gamma_r_mhz"] * mhz, c["gamma_p_mhz"] * mhz)
+        for c in FULL_RAW["channels"])
+    qubits = {q["name"]: QubitInfo(q["f_q_mhz"] * mhz, q["g_mhz"] * mhz,
+                                   q["alpha_mhz"] * mhz, q.get("c_q_f"))
+              for q in FULL_RAW["qubits"]}
+    return Device(line, ln["z0_line_ohm"], ShuntLC(sh["c_f"], sh["l_h"]),
+                  geometry, channels, qubits)
+
+
+class TestFieldTables:
+    """The device's field tables against a device written out by hand."""
+
+    def test_schema_digest_pinned(self):
+        digest = hashlib.sha256(json.dumps(DEVICE_SCHEMA).encode()).hexdigest()
+        assert digest == ("50af32f9a1aa843153444073137f00b77e4b430d699813d5"
+                          "38d817fe97bec8e6")
+
+    def test_loads_each_key_into_its_field_and_unit(self):
+        assert device_from_dict(FULL_RAW) == _full_raw_in_si()
+
+    def test_emits_each_field_under_its_key_and_unit(self, tmp_path):
+        expected = _json_bytes(tmp_path, FULL_RAW)
+        assert _json_bytes(tmp_path, device_to_dict(_full_raw_in_si())) \
+            == expected
+        assert _json_bytes(tmp_path, device_to_dict(
+            device_from_dict(FULL_RAW))) == expected
+
+    @pytest.mark.parametrize("path,default", [
+        (("line", "z0_line_ohm"), 50),
+        (("geometry", 0, "coupler", "zm_over_z0"), 1),
+        (("geometry", 0, "coupler", "d_um"), None),
+        (("channels", 0, "gamma_r_mhz"), 0),
+        (("channels", 0, "gamma_p_mhz"), 0),
+        (("qubits", 0, "c_q_f"), None),
+    ], ids=lambda v: v[-1] if isinstance(v, tuple) else None)
+    def test_optional_key_deleted_emits_its_default(self, tmp_path, path,
+                                                    default):
+        raw, expected = copy.deepcopy(FULL_RAW), copy.deepcopy(FULL_RAW)
+        del functools.reduce(operator.getitem, path[:-1], raw)[path[-1]]
+        parent = functools.reduce(operator.getitem, path[:-1], expected)
+        if default is None:  # a key left out stays out
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = default
+        assert _json_bytes(tmp_path, device_to_dict(device_from_dict(raw))) \
+            == _json_bytes(tmp_path, expected)
+
+    def test_integers_keep_their_type_unless_read_as_float(self, tmp_path):
+        raw = copy.deepcopy(FULL_RAW)
+        raw["line"]["z0_ohm"] = 10 ** 12
+        raw["geometry"][1]["coupler"]["c_j_f"] = 10 ** 10
+        dev = device_from_dict(raw)
+        assert type(dev.line.z0) is int
+        assert type(dev.geometry["Cap"].coupler) is float
+        text = _json_bytes(tmp_path, device_to_dict(dev)).decode()
+        assert '"z0_ohm": 1000000000000,' in text
+        assert '"c_j_f": 1e+10\n' in text
 
 
 class TestEmission:
@@ -1257,8 +1350,7 @@ class TestExit2Branches:
     @pytest.mark.parametrize("flags,message", [
         (["--snr", "8.4", "--shots", None],
          "budget takes --snr or --shots, not both"),
-        (["--snr", "8.4", "--train", "400"], "budget --train needs --shots"),
-    ], ids=["snr-with-shots", "train-without-shots"])
+    ], ids=["snr-with-shots"])
     def test_budget_flag_it_would_not_read(self, tmp_path, capsys, flags,
                                            message):
         shots = tmp_path / "shots.csv"
@@ -1270,16 +1362,33 @@ class TestExit2Branches:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def test_budget_train_reaches_shot_analysis(self, tmp_path, capsys):
+    def test_budget_train_is_no_flag(self, tmp_path, capsys):
+        # budget writes only the SNR, which no training-set size changes
         shots = tmp_path / "shots.csv"
         shots.write_text(_shots_csv())
-        codes = []
-        for train in ([], ["--train", "20000"], ["--train", "1"]):
-            codes.append(run(["budget", "--shots", str(shots), *train,
-                              "--tau-meas-ns", "56", "--t1-us", "26",
-                              "--out", str(tmp_path / "budget.json")]))
-        assert codes == [0, 0, 2]
-        assert "the first n_train = 1 shots" in capsys.readouterr().err
+        out = tmp_path / "budget.json"
+        assert run(["budget", "--train", "400", "--shots", str(shots),
+                    "--tau-meas-ns", "56", "--t1-us", "26",
+                    "--out", str(out)]) == 2
+        assert "unrecognized arguments: --train 400" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    def test_grid_out_of_order_exit_2(self, device_path, tmp_path, capsys):
+        out = tmp_path / "z21.csv"
+        assert run(["z21", "--device", str(device_path), "--pair", "Q1",
+                    "--fmin", "9e9", "--fmax", "8e9", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: need 0 < fmin < fmax\n"
+        assert not out.exists()
+
+    def test_unreadable_csv_exit_2(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        out = tmp_path / "budget.json"
+        assert run(["budget", "--shots", str(missing), "--tau-meas-ns", "56",
+                    "--t1-us", "26", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot read shots {missing}: ")
+        assert not out.exists()
 
 
 class TestNonFiniteFlags:
