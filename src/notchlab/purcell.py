@@ -17,7 +17,7 @@ import numpy as np
 
 from .equiv import (EquivCap, LumpedPair, LumpedResonator, equivalent_pair,
                     j_mtl, map_resonator, two_port_z)
-from .errors import BracketError, ValidationError
+from .errors import BracketError, NumericalError, ValidationError
 from .mtl import (TWO_PI, CoupledPairGeometry, ShuntLC, _freq_array,
                   _scalar_or_array, find_zero, z21_auto)
 
@@ -131,8 +131,11 @@ def t1_purcell(network, coupling: QubitCoupling, f_q=None,
     f, scalar = _freq_array(coupling.f_q if f_q is None else f_q)
     z11, z22, z21 = _two_port_at(network, f)
     re_y = re_input_admittance(z11, z22, z21, coupling, f, shunt)
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         t1 = coupling.c_q / re_y
+    if np.any(np.isinf(t1) & (re_y != 0)):
+        raise NumericalError(f"T1 = c_q / Re Y_in overflows at c_q = "
+                             f"{coupling.c_q:.6g} F")
     limited = t1 > T1_NOTCH_CUTOFF_S
     t1 = np.where(limited, np.inf, t1)
     return T1Result(t1_s=_scalar_or_array(t1, scalar, float),

@@ -228,7 +228,7 @@ def _phase_jacobian(model: _Model, p, ev) -> np.ndarray:
     for (f, _, joint, _), (_, y, terms) in zip(model.spectra, ev):
         r1 = r0 + f.size
         dphi_dy = -2.0 / ((1.0 - y) * (1.0 + y))
-        partials = np.array([_branch_partials(col, s, t) for col, s, t
+        partials = np.array([_branch_partials(col, s, t) for col, s, (_, t)
                              in zip(p.T.tolist(), joint, terms)])
         jac[r0:r1, :k] = ((dphi_dy * partials[model.chan, model.grp]).imag
                           * model.scale[:, None]).T

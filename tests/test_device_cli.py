@@ -778,6 +778,24 @@ class TestNumericalFailuresExit3:
         assert "Traceback" not in err and caught == []
         assert not out.exists()
 
+    def test_purcell_t1_overflow(self, tmp_path, capsys):
+        # c_q / Re Y_in overflows with Re Y_in != 0: not a notch, no inf cell
+        raw = json.loads(paper_device_path().read_text())
+        raw["qubits"][0]["c_q_f"] = 1e300
+        dev = tmp_path / "dev.json"
+        dev.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        argv = ["purcell", "--device", str(dev), *self.FLAGS["purcell"],
+                "--out", str(out)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical error: T1 = c_q / Re Y_in overflows")
+        assert "c_q = 1e+300 F" in err
+        assert "Traceback" not in err and caught == []
+        assert not out.exists()
+
     def test_separation_drive_whose_dephasing_overflows(self, tmp_path,
                                                          capsys):
         # S_ss of a 1e300 drive is finite; Gamma_m = S_ss^2/2 is not
@@ -1559,6 +1577,31 @@ def test_cli_loads_no_scipy(device_path, tmp_path):
     for phase, argvs in phases.items():
         assert seen[phase][0] == [0] * len(argvs), proc.stderr
     assert seen["numpy_only"][1] == []
+
+
+_MUX_IMPORT = """
+import json, sys
+import numpy
+before = set(sys.modules)
+import notchlab.mux
+print(json.dumps(sorted(set(sys.modules) - before)))
+"""
+
+
+def test_mux_import_loads_only_notchlab():
+    # readout_char's setup is a fresh import of mux: past numpy it may load
+    # notchlab and the standard library, never scipy or a numpy submodule
+    src = str(Path(notchlab.cli.__file__).parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", _MUX_IMPORT], env=env,
+                          check=True, capture_output=True, text=True)
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert "notchlab.mux" in loaded
+    assert [m for m in loaded if m.split(".")[0] != "notchlab"
+            and m.split(".")[0] not in sys.stdlib_module_names] == []
+    assert not [m for m in loaded if m.startswith(("scipy", "numpy."))]
 
 
 _LOADED = """

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import time
 import warnings
 
 import numpy as np
@@ -13,7 +14,8 @@ import notchlab.mux
 from notchlab import (CompositionPoleError, DrivePulse, MuxNetwork,
                       NormalMode, NumericalError, PassivityError,
                       PulseSegment, QubitCoupling,
-                      ReadoutChannel, ShuntLC, ValidationError,
+                      ReadoutChannel, ShuntLC, SingularSystemError,
+                      ValidationError,
                       critical_photon, enhancement_factor,
                       equivalent_pair, gamma_filter, gamma_incident,
                       incident_from_resonator, mode_dispersive_shifts, noise_photon_bound,
@@ -686,43 +688,131 @@ def narrowed(net, scale):
 
 
 @pytest.fixture()
-def grid_sizes(monkeypatch):
-    """Sizes of the frequency grids handed to mux.gamma_incident."""
+def contrast_points(monkeypatch):
+    """Sizes of the frequency sets handed to mux._contrast, one per call."""
     sizes = []
-    inner = notchlab.mux.gamma_incident
+    inner = notchlab.mux._contrast
 
-    def counted(net, state, f_d):
-        sizes.append(np.size(f_d))
-        return inner(net, state, f_d)
+    def counted(net, idx, f):
+        sizes.append(np.size(f))
+        return inner(net, idx, f)
 
-    monkeypatch.setattr(notchlab.mux, "gamma_incident", counted)
+    monkeypatch.setattr(notchlab.mux, "_contrast", counted)
     return sizes
 
 
+def with_bare_channel(net, i):
+    """Copy whose channel i has J = 0 and gamma_r = 0: a real-axis pole."""
+    bare = dataclasses.replace(net.channels[i], j=0.0, gamma_r=0.0)
+    return dataclasses.replace(
+        net, channels=net.channels[:i] + (bare,) + net.channels[i + 1:])
+
+
 class TestNoisePhotonBoundVsQuad:
-    def test_paper_device(self, mux_net, grid_sizes):
+    def test_paper_device(self, mux_net, contrast_points):
         for name, row in QUBIT_TABLE.items():
             gamma_phi = 1.0 / (row[4] * 1e-6)
+            contrast_points.clear()
             n = noise_photon_bound(mux_net, name, gamma_phi)
             ref = quad_noise_photon_bound(mux_net, name, gamma_phi)
             assert n == pytest.approx(ref, rel=1e-10, abs=0), name
-        assert min(grid_sizes) >= notchlab.mux.NOISE_GRID_START
+            # one pass: the pole-graded panels pass on first evaluation
+            assert len(contrast_points) == 1, name
+            assert contrast_points[0] <= 1500, name
 
     @pytest.mark.parametrize("scale, target", [
         (0.1, "Q1"), (0.1, "Q2"), (0.1, "Q3"), (0.1, "Q4"),
-        (0.02, "Q1"), (0.02, "Q2")])
-    def test_narrow_lines_refine(self, mux_net, grid_sizes, scale, target):
+        (0.02, "Q1"), (0.02, "Q2"), (0.005, "Q1"), (0.005, "Q4"),
+        (0.002, "Q1"), (0.002, "Q4")])
+    def test_narrow_lines_refine(self, mux_net, contrast_points, scale,
+                                 target):
         net = narrowed(mux_net, scale)
         n = noise_photon_bound(net, target, 1e4)
-        assert max(grid_sizes) > notchlab.mux.NOISE_GRID_START  # refined
+        # the cost follows the poles' count, not their widths
+        assert sum(contrast_points) <= 8000
         assert n == pytest.approx(quad_noise_photon_bound(net, target, 1e4),
                                   rel=1e-9, abs=0)
 
-    def test_unresolved_lines_stop_at_the_cap(self, mux_net, grid_sizes):
+    def test_unresolved_lines_stop_at_the_cap(self, mux_net, contrast_points,
+                                              monkeypatch):
+        net = narrowed(mux_net, 0.005)
+        noise_photon_bound(net, "Q1", 1e4)
+        first = contrast_points[0]
+        assert len(contrast_points) > 1  # it refines past its first pass
+        # a cap that admits the first pass stops the refinement before its
+        # points are evaluated
+        contrast_points.clear()
+        monkeypatch.setattr(notchlab.mux, "NOISE_POINTS_MAX", first)
         with pytest.raises(NumericalError, match="not converged"):
-            noise_photon_bound(narrowed(mux_net, 0.005), "Q1", 1e4)
-        assert max(grid_sizes) <= notchlab.mux.NOISE_GRID_MAX
-        assert 2 * max(grid_sizes) - 1 > notchlab.mux.NOISE_GRID_MAX
+            noise_photon_bound(net, "Q1", 1e4)
+        assert contrast_points == [first]
+
+    def test_overflowing_system_matrix(self, mux_net):
+        # f_r_g + 2 chi overflows in e: its pole cannot be placed
+        net = dataclasses.replace(mux_net, channels=(
+            dataclasses.replace(mux_net.channels[0], chi=1e308),
+            *mux_net.channels[1:]))
+        with pytest.raises(NumericalError, match="system matrix overflows"):
+            noise_photon_bound(net, "Q1", 1e4)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.1])
+    def test_contrast_matches_gamma_incident(self, mux_net, scale):
+        net = narrowed(mux_net, scale)
+        freqs = [ch.f_p for ch in net.channels] + [ch.f_r_g for ch in net.channels]
+        kmax = max(ch.kappa_p for ch in net.channels)
+        f = np.linspace(min(freqs) - 20 * kmax, max(freqs) + 20 * kmax, 4001)
+        g = gamma_incident(net, "g" * net.n, f)
+        for idx in range(net.n):
+            e = gamma_incident(net, notchlab.mux._flip("g" * net.n, idx), f)
+            ref = np.abs(e - g) ** 2
+            # far out in the tails both sides subtract reflections equal to
+            # 1e-7: there the rounding of either is 1e-9 of the contrast,
+            # and 1e-12 of the peak bounds what it adds to the integral
+            np.testing.assert_allclose(notchlab.mux._contrast(net, idx, f),
+                                       ref, rtol=1e-12, atol=1e-12 * ref.max())
+
+    @pytest.mark.parametrize("pole, target", [(1, 0), (1, 1)])
+    def test_contrast_branch_pole_names_the_channel(self, mux_net, pole,
+                                                    target):
+        # a bare lossless filter reflects Gamma_p = -1 exactly at f_p
+        ch = dataclasses.replace(mux_net.channels[pole], j=0.0, gamma_p=0.0)
+        net = dataclasses.replace(mux_net, channels=mux_net.channels[:pole]
+                                  + (ch,) + mux_net.channels[pole + 1:])
+        f = np.array([10.0e9, ch.f_p])
+        with pytest.raises(CompositionPoleError) as ref:
+            gamma_incident(net, "g" * net.n, f)
+        with pytest.raises(CompositionPoleError) as got:
+            notchlab.mux._contrast(net, target, f)
+        assert str(got.value) == str(ref.value)
+        assert repr(ch.name) in str(got.value)
+
+    def test_bare_channel_pole_on_the_real_axis(self, mux_net,
+                                                contrast_points):
+        # the readout pole of a J = 0, gamma_r = 0 channel has Im = 0: the
+        # distance floor keeps the panels beside it finitely many
+        net = with_bare_channel(mux_net, 1)
+        t0 = time.perf_counter()
+        n = noise_photon_bound(net, "Q1", 1e4)
+        assert time.perf_counter() - t0 < 1.0
+        assert math.isfinite(n) and sum(contrast_points) <= 8000
+        assert n == pytest.approx(quad_noise_photon_bound(net, "Q1", 1e4),
+                                  rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("flat", [
+        lambda net: with_bare_channel(net, 1),
+        lambda net: dataclasses.replace(net, channels=net.channels[:1] + (
+            dataclasses.replace(net.channels[1], chi=0.0),) + net.channels[2:])],
+        ids=["bare", "chi-0"])
+    def test_target_without_contrast(self, mux_net, flat):
+        # Gamma^e = Gamma^g: rounding in Y^g - u_g + u_e must not be refined
+        with pytest.raises(SingularSystemError, match="vanishes"):
+            noise_photon_bound(flat(mux_net), "Q2", 1e4)
+
+    @pytest.mark.parametrize("gamma_phi", [math.nan, math.inf, -1.0])
+    def test_non_finite_or_negative_dephasing_rejected(self, mux_net,
+                                                       gamma_phi):
+        with pytest.raises(ValidationError, match="gamma_phi"):
+            noise_photon_bound(mux_net, "Q1", gamma_phi)
 
 
 def propagate_per_step(net, state, pulse, dt_out):
@@ -1029,6 +1119,12 @@ class TestCriticalPhoton:
     def test_degenerate_rejected(self):
         with pytest.raises(ValidationError):
             critical_photon(3e8, 1e10, 1e10)
+
+    @pytest.mark.parametrize("f_q, f_r", [
+        (math.nan, 10e9), (math.inf, 10e9), (8e9, math.nan), (8e9, -math.inf)])
+    def test_non_finite_frequency_rejected(self, f_q, f_r):
+        with pytest.raises(ValidationError, match="finite"):
+            critical_photon(1e8, f_q, f_r)
 
 
 class TestDrivePulse:
